@@ -3,15 +3,15 @@
 All algorithms are cover-based two-stage procedures: a realization-
 independent first stage queries a vertex cover of the cover graph, and
 an adaptive second stage queries only vertices that the revealed
-weights certify as unavoidable.  Each run produces a transcript paired
-with the offline optimum for the same realization.
+weights certify as unavoidable.  Each run produces a transcript, paired
+with the offline optimum for the same realization when given an oracle.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -143,9 +143,11 @@ class ThresholdConfig:
 
 @dataclass
 class RunOutcome:
+    """A run's transcript and the optimal cost of the same realization
+    (NaN when the run was given no oracle)."""
+
     transcript: QueryTranscript
     opt_cost: float
-    stage_breakdown: dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +168,23 @@ class OfflineOracle:
         self.cover_graph = build_cover_graph(instance)
         self._memo: dict[frozenset[str], tuple[frozenset[str], float]] = {}
 
-    def opt(self, realization: Realization) -> tuple[frozenset[str], float]:
-        mandatory = mandatory_set(self.instance, realization)
+    def solve(self, mandatory: frozenset[str]) -> tuple[frozenset[str], float]:
+        """Optimal query set and its cost for any realization whose
+        mandatory set is ``mandatory``."""
         hit = self._memo.get(mandatory)
         if hit is None:
             rest = [v for v in self.instance.vertex_ids if v not in mandatory]
             cover = vc_exact_small(self.cover_graph.induced(rest), self.vc_bound)
-            hit = (cover.members, cover.weight)
+            members = mandatory | cover.members
+            hit = (members, math.fsum(self.instance.costs[v] for v in members))
             self._memo[mandatory] = hit
-        members = mandatory | hit[0]
-        cost = math.fsum(self.instance.costs[v] for v in mandatory) + hit[1]
+        return hit
+
+    def opt(self, realization: Realization) -> tuple[frozenset[str], float]:
+        members, cost = self.solve(mandatory_set(self.instance, realization))
         if self.check and not is_feasible(self.instance, realization, members):
             raise AssertionError("offline optimum is not feasible")
-        return frozenset(members), cost
+        return members, cost
 
 
 def offline_opt(
@@ -209,18 +215,12 @@ class _Recorder:
         instance = self.instance
         if not is_feasible(instance, self.realization, self.revealed.keys()):
             raise AssertionError("algorithm stopped on an infeasible query set")
-        costs = instance.costs
-        breakdown = {"preprocess": 0.0, "stage1": 0.0, "stage2": 0.0}
-        total = 0.0
-        for step in self.steps:
-            c = costs[step.vertex]
-            breakdown[step.stage] += c
-            total += c
+        total = math.fsum(instance.costs[step.vertex] for step in self.steps)
         transcript = QueryTranscript(tuple(self.steps), total)
         opt_cost = math.nan
         if oracle is not None:
             opt_cost = oracle.opt(self.realization)[1]
-        return RunOutcome(transcript, opt_cost, breakdown)
+        return RunOutcome(transcript, opt_cost)
 
 
 def _mandatory_completion(rec: _Recorder) -> None:
@@ -327,11 +327,7 @@ def _run_plan(
     realization: Realization,
     oracle: OfflineOracle | None,
 ) -> RunOutcome:
-    rec = _Recorder(instance, realization)
-    for vid in plan.stage1:
-        rec.query(vid, "stage1")
-    _mandatory_completion(rec)
-    return rec.finish(oracle)
+    return run_fixed_cover(instance, plan.stage1, realization, oracle)
 
 
 def run_threshold_graph(
@@ -341,8 +337,6 @@ def run_threshold_graph(
     oracle: OfflineOracle | None = None,
 ) -> RunOutcome:
     """Threshold algorithm on a graph with exact mandatory probabilities."""
-    if oracle is None:
-        oracle = OfflineOracle(instance)
     plan = plan_threshold(instance, config)
     return _run_plan(instance, plan, realization, oracle)
 
@@ -357,8 +351,6 @@ def run_threshold_hypergraph(
     """Threshold algorithm on the cover graph with sampled probabilities."""
     if config.prob_mode.kind != "sampled":
         raise ValueError("hypergraph variant requires sampled probabilities")
-    if oracle is None:
-        oracle = OfflineOracle(instance)
     plan = plan_threshold(instance, config, rng)
     return _run_plan(instance, plan, realization, oracle)
 
@@ -405,8 +397,6 @@ def run_best_vc(
 ) -> RunOutcome:
     if realization is None:
         raise ValueError("run_best_vc needs a realization")
-    if oracle is None:
-        oracle = OfflineOracle(instance)
     _, cover = plan_best_vc(instance, vc_strategy, prob_mode, rng)
     return run_fixed_cover(instance, cover.members, realization, oracle)
 
@@ -417,9 +407,11 @@ def run_fixed_cover(
     realization: Realization,
     oracle: OfflineOracle | None = None,
 ) -> RunOutcome:
-    """Query a given cover of the cover graph, then complete adaptively."""
-    if oracle is None:
-        oracle = OfflineOracle(instance)
+    """Query a given set, then complete adaptively.
+
+    When the set covers the cover graph the completion queries exactly
+    the mandatory vertices outside it.
+    """
     rec = _Recorder(instance, realization)
     _query_sorted(rec, list(cover_members), "stage1")
     _mandatory_completion(rec)
@@ -435,20 +427,9 @@ def run_adversarial_baseline(
 
     Round-robins over unsolved hyperedges, always advancing to the
     leftmost vertex that could still be the minimum; the classical
-    2-competitive control.
+    2-competitive control: the adaptive completion with an empty stage 1.
     """
-    if oracle is None:
-        oracle = OfflineOracle(instance)
-    rec = _Recorder(instance, realization)
-    pending = deque(range(len(instance.hyperedges)))
-    while pending:
-        idx = pending.popleft()
-        status, vid = _edge_state(instance, instance.hyperedges[idx], rec.revealed)
-        if status == "solved":
-            continue
-        rec.query(vid, "stage2")
-        pending.append(idx)
-    return rec.finish(oracle)
+    return run_fixed_cover(instance, (), realization, oracle)
 
 
 def run_leaves_first(
@@ -464,8 +445,6 @@ def run_leaves_first(
     """
     if len(instance.hyperedges) != 1:
         raise ValueError("leaves-first policy is defined for a single hyperedge")
-    if oracle is None:
-        oracle = OfflineOracle(instance)
     members = instance.hyperedges[0]
     leftmost = members[0]
     rec = _Recorder(instance, realization)

@@ -16,7 +16,7 @@ from .harness import (
     BENCHMARKS,
     csv_header,
     csv_row,
-    evaluate,
+    evaluate_all,
     gen_benchmark,
 )
 from .model import InstanceError, parse_instance, serialize_instance
@@ -108,23 +108,23 @@ def cmd_run(args: argparse.Namespace) -> int:
             params["k"] = int(params["k"])
         instance = gen_benchmark(args.gen, **params)
         instance_id = args.gen
+    specs = _algorithm_specs(args)
+    results = evaluate_all(
+        instance,
+        specs,
+        n_samples=args.samples,
+        master_seed=args.seed,
+        instance_id=instance_id,
+        workers=args.threads,
+        vc_bound=args.vc_bound,
+    )
     rows = [csv_header()]
     failures = []
-    for spec in _algorithm_specs(args):
-        try:
-            report = evaluate(
-                instance,
-                spec,
-                n_samples=args.samples,
-                master_seed=args.seed,
-                instance_id=instance_id,
-                workers=args.threads,
-                vc_bound=args.vc_bound,
-            )
-        except SolverBoundError as exc:
-            failures.append((spec.algorithm_id, str(exc)))
-            continue
-        rows.append(csv_row(report, timing=args.timing))
+    for spec, result in zip(specs, results):
+        if isinstance(result, SolverBoundError):
+            failures.append((spec.algorithm_id, str(result)))
+        else:
+            rows.append(csv_row(result, timing=args.timing))
     text = "\n".join(rows)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -179,7 +179,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--delta", type=float, default=0.1)
     p_run.add_argument("--vc-bound", type=int, default=24)
-    p_run.add_argument("--format", choices=["csv"], default="csv")
     p_run.add_argument("--timing", action="store_true", help="emit measured wall_ms")
     p_run.add_argument("-o", "--out", default=None)
     p_run.set_defaults(fn=cmd_run)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -23,23 +22,20 @@ from .algorithms import (
     OfflineOracle,
     RunOutcome,
     ThresholdConfig,
+    hyper_threshold,
     plan_best_vc,
     plan_threshold,
     run_fixed_cover,
     run_leaves_first,
     sampled_probs,
-    _run_plan,
 )
-from . import algorithms as _alg
-from .mandatory import is_feasible, mandatory_set_cells
+from .mandatory import feasible_matrix, is_feasible, mandatory_matrix, mandatory_set_cells
 from .model import (
     Instance,
     Interval,
     InstanceError,
     Pmf,
     PmfCell,
-    QueryStep,
-    QueryTranscript,
     Realization,
     UncertainVertex,
     elementary_grid,
@@ -58,7 +54,9 @@ from .vcover import (
 __all__ = [
     "EvaluationReport",
     "AlgorithmSpec",
+    "Policy",
     "evaluate",
+    "evaluate_all",
     "csv_header",
     "csv_row",
     "gen_benchmark",
@@ -81,23 +79,24 @@ __all__ = [
 _PLAN_TAG = 0xFFFF0001
 _BOOT_TAG = 0xFFFF0002
 _BLOCK = 4096
+_KERNEL_ROWS = 512
 
 
 class _BlockSampler:
-    """Fast per-index realization streams.
+    """Counter-based realization streams.
 
     Realization i is a pure function of (master_seed, i): uniforms come
     from the counter-based stream keyed [master_seed, i // block] and the
     row i % block of a vectorized block, so results do not depend on how
-    indices are split across workers.  Exact cell-endpoint hits fall back
-    to a per-index stream and redraw.
+    indices are split across workers.  Vertex j takes its cell from
+    uniform 2j and its position in the cell from uniform 2j + 1.  Exact
+    cell-endpoint hits fall back to a per-index stream and redraw.
     """
 
     def __init__(self, instance: Instance, master_seed: int):
-        self.instance = instance
         self.master_seed = master_seed
         self.ids = list(instance.vertex_ids)
-        self.cells: list[tuple[list[float], list[float], list[float]]] = []
+        self.cells: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for vid in self.ids:
             pmf = instance.by_id[vid].pmf
             cum: list[float] = []
@@ -107,33 +106,53 @@ class _BlockSampler:
                 cum.append(acc)
             cum[-1] = math.inf  # guard against mass rounding below 1
             self.cells.append(
-                (cum, [c.cell.lo for c in pmf.cells], [c.cell.hi for c in pmf.cells])
+                (
+                    np.array(cum),
+                    np.array([c.cell.lo for c in pmf.cells]),
+                    np.array([c.cell.hi for c in pmf.cells]),
+                )
             )
         self.budget = 2 * len(self.ids)
         self._block = -1
-        self._uniforms: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
+
+    def _block_weights(self, block: int, rows: int) -> np.ndarray:
+        """Weights of the first ``rows`` realizations of one block."""
+        rng = np.random.Generator(np.random.Philox(key=[self.master_seed, block]))
+        u = rng.random((rows, self.budget))
+        out = np.empty((rows, len(self.ids)))
+        for j, (cum, los, his) in enumerate(self.cells):
+            c = np.searchsorted(cum, u[:, 2 * j], side="right")
+            lo, hi = los[c], his[c]
+            w = lo + u[:, 2 * j + 1] * (hi - lo)
+            for row in np.flatnonzero(~((lo < w) & (w < hi))):  # pragma: no cover - measure zero
+                a, b = float(lo[row]), float(hi[row])
+                redraw = np.random.Generator(
+                    np.random.Philox(key=[self.master_seed, block, int(row), j])
+                )
+                x = float(w[row])
+                while not a < x < b:
+                    x = a + redraw.random() * (b - a)
+                w[row] = x
+            out[:, j] = w
+        return out
+
+    def weights(self, start: int, stop: int) -> np.ndarray:
+        """Weights of realizations start..stop-1: one row each, columns in
+        ``vertex_ids`` order."""
+        parts = [np.empty((0, len(self.ids)))]
+        for block in range(start // _BLOCK, -(-stop // _BLOCK)):
+            first = block * _BLOCK
+            lo, hi = max(start, first) - first, min(stop, first + _BLOCK) - first
+            parts.append(self._block_weights(block, hi)[lo:])
+        return np.concatenate(parts)
 
     def realization(self, index: int) -> Realization:
         block, row = divmod(index, _BLOCK)
         if block != self._block:
-            rng = np.random.Generator(np.random.Philox(key=[self.master_seed, block]))
-            self._uniforms = rng.random((_BLOCK, self.budget))
+            self._weights = self._block_weights(block, _BLOCK)
             self._block = block
-        u = self._uniforms[row]
-        weights: dict[str, float] = {}
-        for j, vid in enumerate(self.ids):
-            cum, los, his = self.cells[j]
-            c = bisect_right(cum, u[2 * j])
-            lo, hi = los[c], his[c]
-            w = lo + u[2 * j + 1] * (hi - lo)
-            if not lo < w < hi:  # pragma: no cover - measure-zero fallback
-                rng = np.random.Generator(
-                    np.random.Philox(key=[self.master_seed, block, row, j])
-                )
-                while not lo < w < hi:
-                    w = lo + rng.random() * (hi - lo)
-            weights[vid] = w
-        return Realization(weights)
+        return Realization(dict(zip(self.ids, self._weights[row].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +751,7 @@ class AlgorithmSpec:
             return ThresholdConfig(self.alpha, self.d).threshold()
         if self.kind == "threshold-hyper":
             return (
-                _alg.hyper_threshold(self.alpha, self.epsilon)
-                if self.d is None
-                else self.d
+                hyper_threshold(self.alpha, self.epsilon) if self.d is None else self.d
             )
         return None
 
@@ -774,31 +791,41 @@ def _auto_strategy(spec: AlgorithmSpec, instance: Instance) -> object:
     return "exact-small"
 
 
-def _prepare_runner(
-    spec: AlgorithmSpec,
-    instance: Instance,
-    oracle: OfflineOracle,
-    master_seed: int,
-) -> Callable[[Realization], RunOutcome]:
-    """Resolve a spec into a prepared per-realization runner.
+@dataclass(frozen=True)
+class Policy:
+    """A planned algorithm: what it decides before any weight is revealed.
+
+    ``stage1`` is queried first and the adaptive completion finishes the
+    run; leaves-first and two-stage-prefix follow their own rules.  When
+    stage 1 covers the cover graph the completion queries exactly the
+    mandatory vertices outside it, so a run queries ``stage1`` plus the
+    mandatory set M(r) and is scored from M alone.  ``adaptive`` marks the
+    policies that must be simulated realization by realization.
+    """
+
+    spec: AlgorithmSpec
+    stage1: tuple[str, ...]
+    adaptive: bool
+
+
+def _plan(spec: AlgorithmSpec, instance: Instance, master_seed: int) -> Policy:
+    """Resolve a spec into its policy, once per evaluation.
 
     Everything realization-independent (probabilities, LP, stage-1 cover,
-    sampled estimates) happens here once, deterministically from the
-    master seed.
+    sampled estimates) happens here, deterministically from the master
+    seed.
     """
     strategy = _auto_strategy(spec, instance)
     if spec.kind == "threshold":
         config = ThresholdConfig(spec.alpha, spec.d, strategy, EXACT_PROBS)
-        plan = plan_threshold(instance, config)
-        return lambda r: _run_plan(instance, plan, r, oracle)
-    if spec.kind == "threshold-hyper":
+        stage1 = plan_threshold(instance, config).stage1
+    elif spec.kind == "threshold-hyper":
         config = ThresholdConfig(
             spec.alpha, spec.d, strategy, sampled_probs(spec.epsilon, spec.delta)
         )
         rng = np.random.default_rng([master_seed, _PLAN_TAG])
-        plan = plan_threshold(instance, config, rng)
-        return lambda r: _run_plan(instance, plan, r, oracle)
-    if spec.kind == "bestvc":
+        stage1 = plan_threshold(instance, config, rng).stage1
+    elif spec.kind == "bestvc":
         mode = (
             EXACT_PROBS
             if instance.kind == "graph"
@@ -806,54 +833,118 @@ def _prepare_runner(
         )
         rng = np.random.default_rng([master_seed, _PLAN_TAG])
         _, cover = plan_best_vc(instance, strategy, mode, rng)
-        return lambda r: run_fixed_cover(instance, cover.members, r, oracle)
-    if spec.kind == "baseline":
-        return lambda r: _alg.run_adversarial_baseline(instance, r, oracle)
-    if spec.kind == "fixed-cover":
-        members = tuple(spec.cover or ())
-        return lambda r: run_fixed_cover(instance, members, r, oracle)
+        stage1 = tuple(sorted(cover.members))
+    elif spec.kind == "fixed-cover":
+        stage1 = tuple(sorted(spec.cover or ()))
+        unknown = set(stage1) - set(instance.vertex_ids)
+        if unknown:
+            raise ValueError(f"fixed cover names unknown vertices {sorted(unknown)}")
+    elif spec.kind == "baseline":
+        stage1 = ()
+    elif spec.kind == "offline-opt":
+        return Policy(spec, (), adaptive=False)
+    elif spec.kind in ("leaves-first", "two-stage-prefix"):
+        return Policy(spec, (), adaptive=True)
+    else:
+        raise ValueError(f"unknown algorithm kind {spec.kind!r}")
+    chosen = set(stage1)
+    covers = all(a in chosen or b in chosen for a, b in build_cover_graph(instance).edges)
+    return Policy(spec, stage1, adaptive=not covers)
+
+
+def _adaptive_cost(policy: Policy, instance: Instance, realization: Realization) -> float:
+    spec = policy.spec
     if spec.kind == "leaves-first":
-        return lambda r: run_leaves_first(instance, r, oracle)
-    if spec.kind == "offline-opt":
-
-        def _run_opt(r: Realization) -> RunOutcome:
-            members, cost = oracle.opt(r)
-            steps = tuple(QueryStep(v, r[v], "stage1") for v in sorted(members))
-            return RunOutcome(QueryTranscript(steps, cost), cost, {"stage1": cost})
-
-        return _run_opt
+        return run_leaves_first(instance, realization).transcript.total_cost
     if spec.kind == "two-stage-prefix":
-
-        def _run_prefix(r: Realization) -> RunOutcome:
-            cost = run_two_stage_prefix(instance, spec.k or 0, r)
-            return RunOutcome(QueryTranscript((), cost), oracle.opt(r)[1], {})
-
-        return _run_prefix
-    raise ValueError(f"unknown algorithm kind {spec.kind!r}")
+        return run_two_stage_prefix(instance, spec.k or 0, realization)
+    return run_fixed_cover(instance, policy.stage1, realization).transcript.total_cost
 
 
-def _eval_chunk(
-    instance: Instance,
-    spec: AlgorithmSpec,
-    master_seed: int,
-    start: int,
-    stop: int,
-    vc_bound: int,
-) -> tuple[list[float], list[float]]:
-    oracle = OfflineOracle(instance, vc_bound)
-    runner = _prepare_runner(spec, instance, oracle, master_seed)
-    sampler = _BlockSampler(instance, master_seed)
-    alg_costs, opt_costs = [], []
-    for index in range(start, stop):
-        realization = sampler.realization(index)
-        outcome = runner(realization)
-        alg_costs.append(outcome.transcript.total_cost)
-        opt_costs.append(
-            outcome.opt_cost
-            if not math.isnan(outcome.opt_cost)
-            else oracle.opt(realization)[1]
+def _eval_chunk(instance: Instance, policy: Policy, weights: np.ndarray) -> list[float]:
+    """Query costs of an adaptive policy on realizations given as weight rows."""
+    ids = instance.vertex_ids
+    return [
+        _adaptive_cost(policy, instance, Realization(dict(zip(ids, row.tolist()))))
+        for row in weights
+    ]
+
+
+class _PairedBatch:
+    """Realizations 0..n-1 of one master seed, sampled once and reduced to
+    their mandatory sets, with the optimum solved once per distinct set.
+
+    Distinct mandatory sets ("patterns") are numbered in order of first
+    occurrence, so a cover-solver bound trips on the same realization as
+    it would in a realization-by-realization scan.  Every query set scored
+    here is checked for feasibility on every realization.
+    """
+
+    def __init__(self, instance: Instance, master_seed: int, n_samples: int, vc_bound: int):
+        self.instance = instance
+        self.weights = _BlockSampler(instance, master_seed).weights(0, n_samples)
+        mandatory = np.concatenate(
+            [mandatory_matrix(instance, w) for w in self._blocks(self.weights)]
         )
-    return alg_costs, opt_costs
+        number: dict[bytes, int] = {}
+        first: list[int] = []
+        pattern: list[int] = []
+        for i, row in enumerate(np.packbits(mandatory, axis=1)):
+            key = row.tobytes()
+            if key not in number:
+                number[key] = len(first)
+                first.append(i)
+            pattern.append(number[key])
+        self.pattern = np.array(pattern, dtype=np.intp)  # realization -> pattern
+        self.patterns = mandatory[first]  # pattern -> mandatory mask
+        oracle = OfflineOracle(instance, vc_bound)
+        ids = instance.vertex_ids
+        optimal = [
+            self.mask(oracle.solve(frozenset(ids[j] for j in np.flatnonzero(row)))[0])
+            for row in self.patterns
+        ]
+        self.opt = self.score(np.array(optimal), "offline optimum is not feasible")
+
+    @staticmethod
+    def _blocks(rows: np.ndarray) -> list[np.ndarray]:
+        # the kernels hold a few (hyperedge size) x (hyperedges) x (rows)
+        # temporaries; short row blocks keep them small
+        return [rows[a : a + _KERNEL_ROWS] for a in range(0, len(rows), _KERNEL_ROWS)]
+
+    def mask(self, members: Iterable[str]) -> np.ndarray:
+        chosen = set(members)
+        return np.array([v in chosen for v in self.instance.vertex_ids], dtype=bool)
+
+    def score(self, queried: np.ndarray, infeasible: str) -> np.ndarray:
+        """Per-realization cost of querying ``queried[pattern]`` (one mask
+        per pattern); raises AssertionError with ``infeasible`` unless the
+        set is feasible on every realization."""
+        rows = queried[self.pattern]
+        for w, q in zip(self._blocks(self.weights), self._blocks(rows)):
+            if not feasible_matrix(self.instance, w, q).all():
+                raise AssertionError(infeasible)
+        costs = [v.cost for v in self.instance.vertices]
+        per_pattern = [math.fsum(costs[j] for j in np.flatnonzero(q)) for q in queried]
+        return np.array(per_pattern)[self.pattern]
+
+
+def _alg_costs(policy: Policy, batch: _PairedBatch, workers: int) -> np.ndarray:
+    if policy.spec.kind == "offline-opt":
+        return batch.opt
+    if not policy.adaptive:
+        queried = batch.patterns | batch.mask(policy.stage1)
+        return batch.score(queried, "algorithm stopped on an infeasible query set")
+    instance, weights = batch.instance, batch.weights
+    if workers <= 1:
+        return np.asarray(_eval_chunk(instance, policy, weights))
+    chunk = math.ceil(len(weights) / workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_eval_chunk, instance, policy, weights[a : a + chunk])
+            for a in range(0, len(weights), chunk)
+        ]
+        # submission order == index order
+        return np.concatenate([fut.result() for fut in futures])
 
 
 def _bootstrap_ci(
@@ -874,6 +965,73 @@ def _bootstrap_ci(
     return float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5))
 
 
+def evaluate_all(
+    instance: Instance,
+    specs: Sequence[AlgorithmSpec],
+    n_samples: int,
+    master_seed: int,
+    instance_id: str = "instance",
+    workers: int = 1,
+    vc_bound: int = 24,
+) -> list[EvaluationReport | SolverBoundError]:
+    """Paired Monte-Carlo estimates of E[algorithm] / E[optimum] for
+    several algorithms on the same realizations.
+
+    Realization i comes from the stream (master_seed, i) regardless of
+    the worker count, and results are reduced in index order, so reports
+    depend only on the seed (wall_ms aside).  The realizations are
+    sampled and the optimum solved once for all specs; the first report's
+    wall_ms includes that shared phase.  Only adaptive policies use the
+    worker pool.  A spec whose planning, or the optimum, exceeds a solver
+    bound gets the SolverBoundError in place of its report.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    if not instance.is_reduced():
+        raise InstanceError("evaluate requires a reduced instance")
+    start = time.perf_counter()
+    batch: _PairedBatch | SolverBoundError
+    try:
+        batch = _PairedBatch(instance, master_seed, n_samples, vc_bound)
+    except SolverBoundError as exc:
+        batch = exc
+    else:
+        if not batch.opt.any():
+            raise InstanceError("E[OPT] is 0: nothing to orient")
+    results: list[EvaluationReport | SolverBoundError] = []
+    for spec in specs:
+        try:
+            policy = _plan(spec, instance, master_seed)
+        except SolverBoundError as exc:
+            results.append(exc)
+            continue
+        if isinstance(batch, SolverBoundError):
+            results.append(batch)
+            continue
+        alg = _alg_costs(policy, batch, workers)
+        mean_alg = float(alg.mean())
+        mean_opt = float(batch.opt.mean())
+        ci = _bootstrap_ci(alg, batch.opt, master_seed)
+        wall_ms = int((time.perf_counter() - start) * 1000)
+        results.append(
+            EvaluationReport(
+                instance_id=instance_id,
+                algorithm_id=spec.algorithm_id,
+                n_samples=n_samples,
+                mean_alg=mean_alg,
+                mean_opt=mean_opt,
+                ratio=mean_alg / mean_opt,
+                ci95_ratio=ci,
+                master_seed=master_seed,
+                wall_ms=wall_ms,
+                d=spec.threshold_used(),
+                alpha=spec.alpha if spec.kind.startswith("threshold") else None,
+            )
+        )
+        start = time.perf_counter()
+    return results
+
+
 def evaluate(
     instance: Instance,
     spec: AlgorithmSpec,
@@ -883,51 +1041,14 @@ def evaluate(
     workers: int = 1,
     vc_bound: int = 24,
 ) -> EvaluationReport:
-    """Paired Monte-Carlo estimate of E[algorithm] / E[optimum].
-
-    Realization i comes from the stream (master_seed, i) regardless of
-    the worker count, and results are reduced in index order, so reports
-    depend only on the seed (wall_ms aside).
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if not instance.is_reduced():
-        raise InstanceError("evaluate requires a reduced instance")
-    start = time.perf_counter()
-    if workers <= 1:
-        alg_list, opt_list = _eval_chunk(instance, spec, master_seed, 0, n_samples, vc_bound)
-    else:
-        chunk = math.ceil(n_samples / workers)
-        bounds = [(i, min(i + chunk, n_samples)) for i in range(0, n_samples, chunk)]
-        alg_list, opt_list = [], []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_eval_chunk, instance, spec, master_seed, a, b, vc_bound)
-                for a, b in bounds
-            ]
-            for fut in futures:  # submission order == index order
-                a_part, o_part = fut.result()
-                alg_list.extend(a_part)
-                opt_list.extend(o_part)
-    alg = np.asarray(alg_list)
-    opt = np.asarray(opt_list)
-    mean_alg = float(alg.mean())
-    mean_opt = float(opt.mean())
-    ci = _bootstrap_ci(alg, opt, master_seed)
-    wall_ms = int((time.perf_counter() - start) * 1000)
-    return EvaluationReport(
-        instance_id=instance_id,
-        algorithm_id=spec.algorithm_id,
-        n_samples=n_samples,
-        mean_alg=mean_alg,
-        mean_opt=mean_opt,
-        ratio=mean_alg / mean_opt,
-        ci95_ratio=ci,
-        master_seed=master_seed,
-        wall_ms=wall_ms,
-        d=spec.threshold_used(),
-        alpha=spec.alpha if spec.kind.startswith("threshold") else None,
+    """Paired Monte-Carlo estimate of E[algorithm] / E[optimum]: the
+    one-spec case of :func:`evaluate_all`."""
+    (result,) = evaluate_all(
+        instance, [spec], n_samples, master_seed, instance_id, workers, vc_bound
     )
+    if isinstance(result, SolverBoundError):
+        raise result
+    return result
 
 
 CSV_COLUMNS = (

@@ -22,7 +22,9 @@ __all__ = [
     "MandatoryProfile",
     "mandatory_set",
     "mandatory_set_cells",
+    "mandatory_matrix",
     "is_feasible",
+    "feasible_matrix",
     "orientation_state",
     "exact_prob_graph",
     "estimate_prob",
@@ -151,6 +153,96 @@ def is_feasible(
     return True
 
 
+# ---------------------------------------------------------------------------
+# Batched kernels: one row per realization, columns in ``vertex_ids`` order
+
+
+def _edge_groups(instance: Instance) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Hyperedges grouped by size, member-major.
+
+    Per group: ``cols`` (k x E) holds each hyperedge's member columns in
+    increasing order, which is id order, so the first minimum down a
+    column applies the id tie-break of :func:`mandatory_set`; ``lo`` and
+    ``hi`` (k x E x 1) are the members' interval ends.
+    """
+    column = {vid: j for j, vid in enumerate(instance.vertex_ids)}
+    by_size: dict[int, list[list[int]]] = {}
+    for members in instance.hyperedges:
+        by_size.setdefault(len(members), []).append(sorted(column[u] for u in members))
+    lo_all = np.array([v.interval.lo for v in instance.vertices])
+    hi_all = np.array([v.interval.hi for v in instance.vertices])
+    groups = []
+    for rows in by_size.values():
+        cols = np.array(rows, dtype=np.intp).T
+        groups.append((cols, lo_all[cols][..., None], hi_all[cols][..., None]))
+    return groups
+
+
+def _minimum_parts(
+    weights_t: np.ndarray, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """For one size group and transposed weights (n x N): the member
+    weights (k x E x N), a one-hot of each hyperedge's minimum, which
+    other members' intervals hold the minimum weight, and the minimum's
+    interval ends (E x N each)."""
+    sub = weights_t[cols]
+    w_min = sub.min(axis=0)
+    at_min = sub == w_min
+    seen = at_min[0].copy()
+    for p in range(1, len(cols)):  # keep the first of tied minima
+        at_min[p] &= ~seen
+        seen |= at_min[p]
+    # exactly one term of each sum is nonzero
+    lo_m = (at_min * lo).sum(axis=0)
+    hi_m = (at_min * hi).sum(axis=0)
+    holds_min = (lo < w_min) & (w_min < hi) & ~at_min
+    return sub, at_min, holds_min, lo_m, hi_m
+
+
+def mandatory_matrix(instance: Instance, weights: np.ndarray) -> np.ndarray:
+    """:func:`mandatory_set` of every row of an N x n weight matrix.
+
+    Returns an N x n boolean matrix.  On each hyperedge the minimum is
+    the argmin with the id tie-break; the other members whose interval
+    holds the minimum weight are mandatory, and so is the minimum when
+    some other member's weight lies inside its interval.  Size-2
+    hyperedges need no separate graph rule: on an edge both orders give
+    "v is mandatory iff the other weight lies in I_v".
+    """
+    weights_t = np.ascontiguousarray(weights.T)
+    out = np.zeros(weights_t.shape, dtype=bool)
+    for cols, lo, hi in _edge_groups(instance):
+        sub, at_min, holds_min, lo_m, hi_m = _minimum_parts(weights_t, cols, lo, hi)
+        min_hit = ((lo_m < sub) & (sub < hi_m) & ~at_min).any(axis=0)
+        hits = (holds_min | (at_min & min_hit)).reshape(-1, weights_t.shape[1])
+        flat = cols.ravel()
+        for j in np.unique(flat):
+            out[j] |= hits[flat == j].any(axis=0)
+    return out.T
+
+
+def feasible_matrix(
+    instance: Instance, weights: np.ndarray, queried: np.ndarray
+) -> np.ndarray:
+    """:func:`is_feasible` of every row: N x n weights and query masks in,
+    one boolean per realization out."""
+    weights_t = np.ascontiguousarray(weights.T)
+    queried_t = np.ascontiguousarray(queried.T)
+    bad = np.zeros(weights_t.shape[1], dtype=bool)
+    for cols, lo, hi in _edge_groups(instance):
+        sub, at_min, holds_min, lo_m, hi_m = _minimum_parts(weights_t, cols, lo, hi)
+        q = queried_t[cols]
+        min_queried = (q & at_min).any(axis=0)
+        # minimum queried: so is every member whose interval holds its weight
+        bad |= (min_queried & (holds_min & ~q).any(axis=0)).any(axis=0)
+        # minimum unqueried: every member overlapping its interval is
+        # queried at or beyond the interval's right end
+        rivals = (np.maximum(lo, lo_m) < np.minimum(hi, hi_m)) & ~at_min
+        short = (rivals & (~q | (sub < hi_m))).any(axis=0)
+        bad |= (~min_queried & short).any(axis=0)
+    return ~bad
+
+
 def _edge_state(
     instance: Instance, members: Sequence[str], revealed: Mapping[str, float]
 ) -> tuple[str, str]:
@@ -227,21 +319,26 @@ def hoeffding_sample_count(epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2))
 
 
-def _sample_cell_batch(
+def _sample_mandatory_cells(
     instance: Instance, count: int, rng: np.random.Generator
-) -> tuple[list[str], np.ndarray]:
-    """Draw ``count`` joint elementary-cell assignments (one row each)."""
+) -> np.ndarray:
+    """Mandatory matrix of ``count`` sampled joint elementary-cell
+    assignments (one row each).
+
+    Each weight sits at its cell's midpoint; inside a cell the mandatory
+    set does not depend on the position (see :func:`mandatory_set_cells`).
+    """
     matrix = probability_matrix(instance)
-    ids = list(instance.vertex_ids)
-    columns = np.empty((count, len(ids)), dtype=np.int64)
-    for j, vid in enumerate(ids):
+    cells = np.empty((count, len(instance.vertices)), dtype=np.int64)
+    for j, vid in enumerate(instance.vertex_ids):
         row = matrix[vid]
         idx = np.array([i for i, _ in row], dtype=np.int64)
         cum = np.cumsum([p for _, p in row])
         cum[-1] = 1.0 + 1e-12  # guard against mass rounding below 1
         u = rng.random(count)
-        columns[:, j] = idx[np.searchsorted(cum, u, side="right")]
-    return ids, columns
+        cells[:, j] = idx[np.searchsorted(cum, u, side="right")]
+    grid = np.array(elementary_grid(instance))
+    return mandatory_matrix(instance, (grid[cells] + grid[cells + 1]) / 2.0)
 
 
 def estimate_prob(
@@ -258,14 +355,8 @@ def estimate_prob(
     the Hoeffding bound gives P[|estimate - p| >= epsilon] <= delta.
     """
     k = hoeffding_sample_count(epsilon, delta)
-    grid = elementary_grid(instance)
-    ids, cells = _sample_cell_batch(instance, k, rng)
-    hits = 0
-    for r in range(k):
-        assignment = dict(zip(ids, cells[r]))
-        if vid in mandatory_set_cells(instance, assignment, grid):
-            hits += 1
-    return hits / k
+    column = instance.vertex_ids.index(vid)
+    return int(_sample_mandatory_cells(instance, k, rng)[:, column].sum()) / k
 
 
 def estimate_profile(
@@ -273,29 +364,16 @@ def estimate_profile(
     epsilon: float,
     delta: float,
     rng: np.random.Generator,
-    shared_batch: bool = True,
 ) -> MandatoryProfile:
     """Sampled mandatory probabilities for all vertices.
 
-    With ``shared_batch`` one batch of realizations feeds every vertex's
-    estimate; the per-vertex Hoeffding guarantee is unchanged, only the
-    errors become correlated across vertices.
+    One batch of realizations feeds every vertex's estimate; the
+    per-vertex Hoeffding guarantee is unchanged, only the errors become
+    correlated across vertices.
     """
     k = hoeffding_sample_count(epsilon, delta)
-    grid = elementary_grid(instance)
-    counts = {vid: 0 for vid in instance.vertex_ids}
-    if shared_batch:
-        ids, cells = _sample_cell_batch(instance, k, rng)
-        for r in range(k):
-            assignment = dict(zip(ids, cells[r]))
-            for vid in mandatory_set_cells(instance, assignment, grid):
-                counts[vid] += 1
-        probs = {vid: counts[vid] / k for vid in counts}
-    else:
-        probs = {
-            vid: estimate_prob(instance, vid, epsilon, delta, rng)
-            for vid in instance.vertex_ids
-        }
+    counts = _sample_mandatory_cells(instance, k, rng).sum(axis=0)
+    probs = {vid: int(c) / k for vid, c in zip(instance.vertex_ids, counts)}
     return MandatoryProfile(
         probs, method="sampled", epsilon=epsilon, delta=delta, sample_count=k
     )

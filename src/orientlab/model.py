@@ -53,6 +53,8 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InstanceError(f"non-finite interval end in ({self.lo}, {self.hi})")
         if not self.lo < self.hi:
             raise InstanceError(f"empty interval ({self.lo}, {self.hi})")
 
@@ -94,8 +96,8 @@ class Pmf:
         if abs(total - 1.0) > MASS_TOL:
             raise InstanceError(f"pmf mass sum {total!r} != 1")
         for c in self.cells:
-            if c.mass <= 0.0:
-                raise InstanceError(f"nonpositive cell mass {c.mass!r}")
+            if not (0.0 < c.mass < math.inf):
+                raise InstanceError(f"cell mass {c.mass!r} is not a positive finite number")
             if not owner.covers(c.cell):
                 raise InstanceError(f"cell {c.cell} outside interval {owner}")
         for a, b in zip(self.cells, self.cells[1:]):
@@ -132,8 +134,8 @@ class UncertainVertex:
     def validate(self) -> None:
         if not self.id:
             raise InstanceError("empty vertex id")
-        if not self.cost > 0.0:
-            raise InstanceError(f"vertex {self.id}: cost must be positive")
+        if not 0.0 < self.cost < math.inf:
+            raise InstanceError(f"vertex {self.id}: cost must be positive and finite")
         self.pmf.validate(self.interval)
 
     @property
@@ -254,7 +256,7 @@ class Realization:
 class QueryStep:
     vertex: str
     weight: float
-    stage: str  # "preprocess" | "stage1" | "stage2"
+    stage: str  # "stage1" | "stage2"
 
 
 @dataclass(frozen=True)
@@ -265,11 +267,6 @@ class QueryTranscript:
     @property
     def queried(self) -> frozenset[str]:
         return frozenset(s.vertex for s in self.steps)
-
-    def stage_cost(self, instance: Instance, stage: str) -> float:
-        return math.fsum(
-            instance.costs[s.vertex] for s in self.steps if s.stage == stage
-        )
 
     def validate(self, instance: Instance) -> None:
         seen = [s.vertex for s in self.steps]
@@ -290,8 +287,13 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "vertices" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list):
         raise InstanceError("document must be an object with a 'vertices' list")
+    hyperedges = doc.get("hyperedges", [])
+    if not (
+        isinstance(hyperedges, list) and all(isinstance(f, list) for f in hyperedges)
+    ):
+        raise InstanceError("'hyperedges' must be a list of id lists")
     vertices = []
     for row in doc["vertices"]:
         try:
@@ -305,8 +307,7 @@ def parse_instance(text: str) -> Instance:
             )
         except (KeyError, TypeError, IndexError) as exc:
             raise InstanceError(f"malformed vertex entry: {row!r}") from exc
-    hyperedges = [[str(u) for u in f] for f in doc.get("hyperedges", [])]
-    return make_instance(vertices, hyperedges)
+    return make_instance(vertices, [[str(u) for u in f] for f in hyperedges])
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from orientlab import parse_instance, serialize_instance
+from orientlab import gen_random, parse_instance, serialize_instance
 from orientlab.cli import main
 
 
@@ -74,14 +75,20 @@ class TestRun:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_threads_do_not_change_bytes(self, capsys):
-        base = [
-            "run", "--gen", "fork", "--eps", "0.01", "--samples", "400",
-            "--seed", "3", "-a", "baseline",
+    def test_threads_do_not_change_bytes(self, tmp_path, capsys):
+        path = tmp_path / "hyper.json"
+        path.write_text(serialize_instance(gen_random("hypergraph", 5, n=8, m=4, unit_cost=False)))
+        sources = [
+            ["--gen", "fork", "--eps", "0.01"],  # the three default algorithms
+            ["--instance", str(path), "-a", "threshold-hyper", "-a", "bestvc", "-a", "baseline"],
         ]
-        _, out1, _ = run_main(base + ["--threads", "1"], capsys)
-        _, out2, _ = run_main(base + ["--threads", "2"], capsys)
-        assert out1 == out2
+        for source in sources:
+            base = ["run", *source, "--samples", "400", "--seed", "3"]
+            code1, out1, _ = run_main(base + ["--threads", "1"], capsys)
+            code2, out2, _ = run_main(base + ["--threads", "2"], capsys)
+            assert code1 == code2 == 0
+            assert len(out1.strip().splitlines()) == 4
+            assert out1 == out2
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_main(["run", "--samples", "10"], capsys)
@@ -152,3 +159,49 @@ def test_run_reports_solver_bound_per_row(tmp_path, capsys):
     assert code == 2
     assert out.strip().splitlines()[0].startswith("instance_id")
     assert "baseline" in err and "exceeds bound" in err
+
+
+def _vertex_doc(vid, lo, hi, cost=1.0, mass=1.0):
+    pmf = [{"cell": [lo, hi], "mass": mass}]
+    return {"id": vid, "cost": cost, "interval": [lo, hi], "pmf": pmf}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": 5}, "'vertices' list"),
+        ({"vertices": [], "hyperedges": 3}, "'hyperedges'"),
+        (
+            {
+                "vertices": [_vertex_doc("a", 0, 2, cost="inf"), _vertex_doc("b", 1, 3)],
+                "hyperedges": [["a", "b"]],
+            },
+            "finite",
+        ),
+        ({"vertices": [_vertex_doc("a", 0, "inf")]}, "non-finite"),
+        ({"vertices": [_vertex_doc("a", 0, 1, mass="nan")]}, "finite"),
+    ],
+    ids=[
+        "vertices-not-list", "hyperedges-not-list", "infinite-cost", "infinite-interval",
+        "nan-mass",
+    ],
+)
+def test_malformed_instance_file_exits_2(doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(["run", "--instance", str(path), "--samples", "20"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_instance_without_hyperedges_exits_2(tmp_path, capsys):
+    # E[OPT] = 0 leaves the ratio undefined: one line, no traceback
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"vertices": [_vertex_doc("a", 0, 1)]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(["run", "--instance", str(path), "--samples", "20"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "orientlab: E[OPT] is 0: nothing to orient\n"

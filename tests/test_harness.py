@@ -241,6 +241,21 @@ class TestEvaluate:
         lo, hi = rep.ci95_ratio
         assert lo <= rep.ratio <= hi
 
+    def test_optimal_algorithms_report_exactly_one(self):
+        # query sets are costed as exact sums, so an algorithm that queries
+        # the optimal set on every realization has ratio and CI exactly 1
+        inst = gen_random("gnp", 5, n=10, p=0.3, unit_cost=False)
+        rep = evaluate(inst, AlgorithmSpec("offline-opt"), 2000, 8, "gnp")
+        assert rep.ratio == 1.0
+        assert rep.ci95_ratio == (1.0, 1.0)
+        # bestvc is optimal on this weighted graph; summing its costs in
+        # query order used to give 0.9999999999999998
+        rng = np.random.default_rng(70)
+        inst = gen_random("gnp", rng, n=int(rng.integers(3, 7)), p=0.5, unit_cost=False)
+        rep = evaluate(inst, AlgorithmSpec("bestvc"), 300, 70, "gnp")
+        assert rep.ratio == 1.0
+        assert rep.ci95_ratio == (1.0, 1.0)
+
     def test_rejects_unreduced_instance(self):
         inst = make_instance(
             [uniform_vertex("u", 0, 1), uniform_vertex("v", 5, 6)], [["u", "v"]]
@@ -278,6 +293,15 @@ class TestEvaluate:
         for i in range(500):
             r = sampler.realization(i)
             r.validate(inst)
+
+    def test_block_sampler_batch_rows_are_realizations(self):
+        inst = gen_random("hypergraph", 2, n=6, m=3, unit_cost=False)
+        sampler = _BlockSampler(inst, 31)
+        weights = sampler.weights(4090, 4100)  # crosses a block boundary
+        assert weights.shape == (10, 6)
+        for row, index in zip(weights, range(4090, 4100)):
+            r = sampler.realization(index)
+            assert row.tolist() == [r[v] for v in inst.vertex_ids]
 
     def test_block_sampler_index_pure(self):
         inst = gen_benchmark("fork", eps=0.1)

@@ -289,14 +289,20 @@ def plan_threshold(
     instance: Instance,
     config: ThresholdConfig,
     rng: np.random.Generator | None = None,
+    profile: MandatoryProfile | None = None,
 ) -> ThresholdPlan:
     """Build the first-stage query set: high-probability vertices, the
-    LP ones, and a black-box cover of the half-valued subgraph."""
+    LP ones, and a black-box cover of the half-valued subgraph.
+
+    In exact mode ``profile`` may carry the graph's
+    :func:`exact_prob_graph`, computed once by the caller.
+    """
     config.validate()
     if config.prob_mode.kind == "exact":
         if instance.kind != "graph":
             raise ValueError("exact probabilities require a graph instance")
-        profile = exact_prob_graph(instance)
+        if profile is None:
+            profile = exact_prob_graph(instance)
         d = config.threshold()
     else:
         if rng is None:
@@ -364,17 +370,20 @@ def plan_best_vc(
     vc_strategy: object = "exact-small",
     prob_mode: ProbMode = EXACT_PROBS,
     rng: np.random.Generator | None = None,
+    profile: MandatoryProfile | None = None,
 ) -> tuple[MandatoryProfile, Cover]:
     """Choose the stage-1 cover minimizing sum (1 - p_v) c_v.
 
     Any cover pays its full cost up front but only mandatory vertices
     elsewhere, so this weighting makes the expected total minimal among
-    cover-first strategies; the solver must be exact.
+    cover-first strategies; the solver must be exact.  In exact mode
+    ``profile`` may carry the :func:`exact_prob_graph` the caller has.
     """
     if vc_strategy == "local-ratio":
         raise ValueError("the cover-first algorithm needs an exact cover solver")
     if prob_mode.kind == "exact":
-        profile = exact_prob_graph(instance)
+        if profile is None:
+            profile = exact_prob_graph(instance)
     else:
         if rng is None:
             raise ValueError("sampled probability mode needs an rng")

@@ -176,7 +176,9 @@ def build_parser() -> _Parser:
     )
     p_run.add_argument("--samples", type=int, default=10_000)
     p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; changes nothing"
+    )
     p_run.add_argument("--delta", type=float, default=0.1)
     p_run.add_argument("--vc-bound", type=int, default=24)
     p_run.add_argument("--timing", action="store_true", help="emit measured wall_ms")

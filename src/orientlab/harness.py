@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -25,11 +24,19 @@ from .algorithms import (
     hyper_threshold,
     plan_best_vc,
     plan_threshold,
-    run_fixed_cover,
-    run_leaves_first,
     sampled_probs,
 )
-from .mandatory import feasible_matrix, is_feasible, mandatory_matrix, mandatory_set_cells
+from .mandatory import (
+    MandatoryProfile,
+    _edge_step,
+    _hyperedge_columns,
+    completion_matrix,
+    exact_prob_graph,
+    feasible_matrix,
+    is_feasible,
+    mandatory_matrix,
+    mandatory_set_cells,
+)
 from .model import (
     Instance,
     Interval,
@@ -800,7 +807,8 @@ class Policy:
     stage 1 covers the cover graph the completion queries exactly the
     mandatory vertices outside it, so a run queries ``stage1`` plus the
     mandatory set M(r) and is scored from M alone.  ``adaptive`` marks the
-    policies that must be simulated realization by realization.
+    policies whose query sets depend on more than M(r): the batched
+    completion, or the closed form of two-stage-prefix, gives them.
     """
 
     spec: AlgorithmSpec
@@ -808,17 +816,23 @@ class Policy:
     adaptive: bool
 
 
-def _plan(spec: AlgorithmSpec, instance: Instance, master_seed: int) -> Policy:
+def _plan(
+    spec: AlgorithmSpec,
+    instance: Instance,
+    master_seed: int,
+    profile: MandatoryProfile | None = None,
+) -> Policy:
     """Resolve a spec into its policy, once per evaluation.
 
     Everything realization-independent (probabilities, LP, stage-1 cover,
     sampled estimates) happens here, deterministically from the master
-    seed.
+    seed.  ``profile`` is the exact mandatory profile of a graph instance
+    when the caller has it; the plans that need it compute it otherwise.
     """
     strategy = _auto_strategy(spec, instance)
     if spec.kind == "threshold":
         config = ThresholdConfig(spec.alpha, spec.d, strategy, EXACT_PROBS)
-        stage1 = plan_threshold(instance, config).stage1
+        stage1 = plan_threshold(instance, config, profile=profile).stage1
     elif spec.kind == "threshold-hyper":
         config = ThresholdConfig(
             spec.alpha, spec.d, strategy, sampled_probs(spec.epsilon, spec.delta)
@@ -832,7 +846,7 @@ def _plan(spec: AlgorithmSpec, instance: Instance, master_seed: int) -> Policy:
             else sampled_probs(spec.epsilon, spec.delta)
         )
         rng = np.random.default_rng([master_seed, _PLAN_TAG])
-        _, cover = plan_best_vc(instance, strategy, mode, rng)
+        _, cover = plan_best_vc(instance, strategy, mode, rng, profile)
         stage1 = tuple(sorted(cover.members))
     elif spec.kind == "fixed-cover":
         stage1 = tuple(sorted(spec.cover or ()))
@@ -844,6 +858,9 @@ def _plan(spec: AlgorithmSpec, instance: Instance, master_seed: int) -> Policy:
     elif spec.kind == "offline-opt":
         return Policy(spec, (), adaptive=False)
     elif spec.kind in ("leaves-first", "two-stage-prefix"):
+        if len(instance.hyperedges) != 1:
+            name = "leaves-first" if spec.kind == "leaves-first" else "two-stage prefix"
+            raise ValueError(f"{name} policy is defined for a single hyperedge")
         return Policy(spec, (), adaptive=True)
     else:
         raise ValueError(f"unknown algorithm kind {spec.kind!r}")
@@ -852,22 +869,14 @@ def _plan(spec: AlgorithmSpec, instance: Instance, master_seed: int) -> Policy:
     return Policy(spec, stage1, adaptive=not covers)
 
 
-def _adaptive_cost(policy: Policy, instance: Instance, realization: Realization) -> float:
-    spec = policy.spec
-    if spec.kind == "leaves-first":
-        return run_leaves_first(instance, realization).transcript.total_cost
-    if spec.kind == "two-stage-prefix":
-        return run_two_stage_prefix(instance, spec.k or 0, realization)
-    return run_fixed_cover(instance, policy.stage1, realization).transcript.total_cost
-
-
-def _eval_chunk(instance: Instance, policy: Policy, weights: np.ndarray) -> list[float]:
-    """Query costs of an adaptive policy on realizations given as weight rows."""
-    ids = instance.vertex_ids
-    return [
-        _adaptive_cost(policy, instance, Realization(dict(zip(ids, row.tolist()))))
-        for row in weights
-    ]
+def _number_rows(masks: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Number the distinct rows of a boolean matrix in order of first
+    occurrence: the number of every row, and the first row of each."""
+    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    number: dict[bytes, int] = {}
+    index = np.array([number.setdefault(key, len(number)) for key in keys], dtype=np.intp)
+    return index, np.unique(index, return_index=True)[1].tolist()
 
 
 class _PairedBatch:
@@ -886,16 +895,7 @@ class _PairedBatch:
         mandatory = np.concatenate(
             [mandatory_matrix(instance, w) for w in self._blocks(self.weights)]
         )
-        number: dict[bytes, int] = {}
-        first: list[int] = []
-        pattern: list[int] = []
-        for i, row in enumerate(np.packbits(mandatory, axis=1)):
-            key = row.tobytes()
-            if key not in number:
-                number[key] = len(first)
-                first.append(i)
-            pattern.append(number[key])
-        self.pattern = np.array(pattern, dtype=np.intp)  # realization -> pattern
+        self.pattern, first = _number_rows(mandatory)  # realization -> pattern
         self.patterns = mandatory[first]  # pattern -> mandatory mask
         oracle = OfflineOracle(instance, vc_bound)
         ids = instance.vertex_ids
@@ -903,7 +903,8 @@ class _PairedBatch:
             self.mask(oracle.solve(frozenset(ids[j] for j in np.flatnonzero(row)))[0])
             for row in self.patterns
         ]
-        self.opt = self.score(np.array(optimal), "offline optimum is not feasible")
+        self.optimal = np.array(optimal)  # pattern -> optimal query mask
+        self.opt = self.score(self.optimal[self.pattern], "offline optimum is not feasible")
 
     @staticmethod
     def _blocks(rows: np.ndarray) -> list[np.ndarray]:
@@ -916,35 +917,80 @@ class _PairedBatch:
         return np.array([v in chosen for v in self.instance.vertex_ids], dtype=bool)
 
     def score(self, queried: np.ndarray, infeasible: str) -> np.ndarray:
-        """Per-realization cost of querying ``queried[pattern]`` (one mask
-        per pattern); raises AssertionError with ``infeasible`` unless the
-        set is feasible on every realization."""
-        rows = queried[self.pattern]
-        for w, q in zip(self._blocks(self.weights), self._blocks(rows)):
+        """Per-realization cost of querying ``queried[i]`` on realization
+        i; raises AssertionError with ``infeasible`` unless every set is
+        feasible on its realization.  Each distinct set is costed once."""
+        for w, q in zip(self._blocks(self.weights), self._blocks(queried)):
             if not feasible_matrix(self.instance, w, q).all():
                 raise AssertionError(infeasible)
+        index, first = _number_rows(queried)
         costs = [v.cost for v in self.instance.vertices]
-        per_pattern = [math.fsum(costs[j] for j in np.flatnonzero(q)) for q in queried]
-        return np.array(per_pattern)[self.pattern]
+        per_set = [math.fsum(costs[j] for j in np.flatnonzero(queried[i])) for i in first]
+        return np.array(per_set)[index]
 
 
-def _alg_costs(policy: Policy, batch: _PairedBatch, workers: int) -> np.ndarray:
+def _leaves_first_stage1(instance: Instance, weights: np.ndarray) -> np.ndarray:
+    """Stage 1 of :func:`run_leaves_first` on every row: the non-leftmost
+    members in key order, each row stopping once its hyperedge is solved
+    or the leftmost interval holds the minimum revealed weight."""
+    ((cols, lo, hi),) = _hyperedge_columns(instance)
+    w = np.ascontiguousarray(weights[:, cols].T)
+    q = np.zeros(w.shape, dtype=bool)
+    rows = np.arange(len(weights))
+    for p in range(1, len(cols)):
+        w_star, pick = _edge_step(w[:, rows], q[:, rows], lo, hi)
+        rows = rows[(pick >= 0) & ~((lo[0] < w_star) & (w_star < hi[0]))]
+        q[p, rows] = True
+    queried = np.zeros(weights.shape, dtype=bool)
+    queried[:, cols] = q.T
+    return queried
+
+
+def _two_stage_prefix(instance: Instance, k: int, weights: np.ndarray) -> np.ndarray:
+    """Query sets of :func:`run_two_stage_prefix` on every row: the
+    k-prefix, plus every member when some other member's lower end lies
+    below the prefix's minimum weight."""
+    ((cols, lo, _),) = _hyperedge_columns(instance)
+    w_star = np.full(len(weights), np.inf)
+    if k > 0:
+        w_star = weights[:, cols[:k]].min(axis=1)
+    undercut = (lo[k:] < w_star).any(axis=0)
+    queried = np.zeros(weights.shape, dtype=bool)
+    queried[:, cols[:k]] = True
+    queried[np.ix_(undercut, cols)] = True
+    return queried
+
+
+def _alg_queries(policy: Policy, batch: _PairedBatch) -> np.ndarray:
+    """Query set of a planned policy on every realization, one mask per row."""
+    instance, weights, spec = batch.instance, batch.weights, policy.spec
+    if spec.kind == "offline-opt":
+        return batch.optimal[batch.pattern]
+    if spec.kind == "two-stage-prefix":
+        return _two_stage_prefix(instance, spec.k or 0, weights)
+    if spec.kind == "leaves-first":
+        start = _leaves_first_stage1(instance, weights)
+    else:
+        start = np.broadcast_to(batch.mask(policy.stage1), weights.shape)
+        if not policy.adaptive:
+            return batch.patterns[batch.pattern] | start
+    return completion_matrix(instance, weights, start)
+
+
+def _alg_costs(policy: Policy, batch: _PairedBatch) -> np.ndarray:
     if policy.spec.kind == "offline-opt":
         return batch.opt
-    if not policy.adaptive:
-        queried = batch.patterns | batch.mask(policy.stage1)
-        return batch.score(queried, "algorithm stopped on an infeasible query set")
-    instance, weights = batch.instance, batch.weights
-    if workers <= 1:
-        return np.asarray(_eval_chunk(instance, policy, weights))
-    chunk = math.ceil(len(weights) / workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_eval_chunk, instance, policy, weights[a : a + chunk])
-            for a in range(0, len(weights), chunk)
-        ]
-        # submission order == index order
-        return np.concatenate([fut.result() for fut in futures])
+    queried = _alg_queries(policy, batch)
+    return batch.score(queried, "algorithm stopped on an infeasible query set")
+
+
+def _block_sums(x: np.ndarray, blocks: int) -> np.ndarray:
+    """Sums of the ``np.array_split(x, blocks)`` chunks, as two reshaped
+    row sums: the first N mod blocks chunks are one longer."""
+    q, r = divmod(len(x), blocks)
+    head = x[: r * (q + 1)].reshape(r, q + 1).sum(axis=1)
+    tail = x[r * (q + 1) :].reshape(blocks - r, q).sum(axis=1)
+    return np.concatenate([head, tail])
 
 
 def _bootstrap_ci(
@@ -958,8 +1004,8 @@ def _bootstrap_ci(
     """
     rng = np.random.default_rng([master_seed, _BOOT_TAG])
     blocks = min(len(alg), 1000)
-    alg_sums = np.array([chunk.sum() for chunk in np.array_split(alg, blocks)])
-    opt_sums = np.array([chunk.sum() for chunk in np.array_split(opt, blocks)])
+    alg_sums = _block_sums(alg, blocks)
+    opt_sums = _block_sums(opt, blocks)
     idx = rng.integers(0, blocks, size=(resamples, blocks))
     ratios = alg_sums[idx].sum(axis=1) / opt_sums[idx].sum(axis=1)
     return float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5))
@@ -977,18 +1023,33 @@ def evaluate_all(
     """Paired Monte-Carlo estimates of E[algorithm] / E[optimum] for
     several algorithms on the same realizations.
 
-    Realization i comes from the stream (master_seed, i) regardless of
-    the worker count, and results are reduced in index order, so reports
-    depend only on the seed (wall_ms aside).  The realizations are
-    sampled and the optimum solved once for all specs; the first report's
-    wall_ms includes that shared phase.  Only adaptive policies use the
-    worker pool.  A spec whose planning, or the optimum, exceeds a solver
-    bound gets the SolverBoundError in place of its report.
+    Realization i comes from the stream (master_seed, i), and every
+    policy is scored from batched query masks, so reports depend only on
+    the seed (wall_ms aside); ``workers`` is accepted and changes
+    nothing.  Every spec is planned first, so a spec that cannot run
+    fails before anything is sampled; then the realizations are sampled
+    and the optimum solved once for all specs, and the first report's
+    wall_ms includes that shared phase.  A spec whose planning, or the
+    optimum, exceeds a solver bound gets the SolverBoundError in place of
+    its report.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if not instance.is_reduced():
         raise InstanceError("evaluate requires a reduced instance")
+    start = time.perf_counter()
+    profile = None
+    if instance.kind == "graph" and any(s.kind in ("threshold", "bestvc") for s in specs):
+        profile = exact_prob_graph(instance)
+    shared = time.perf_counter() - start
+    planned: list[tuple[Policy | SolverBoundError, float]] = []
+    for spec in specs:
+        start = time.perf_counter()
+        try:
+            policy: Policy | SolverBoundError = _plan(spec, instance, master_seed, profile)
+        except SolverBoundError as exc:
+            policy = exc
+        planned.append((policy, time.perf_counter() - start))
     start = time.perf_counter()
     batch: _PairedBatch | SolverBoundError
     try:
@@ -998,21 +1059,22 @@ def evaluate_all(
     else:
         if not batch.opt.any():
             raise InstanceError("E[OPT] is 0: nothing to orient")
+    shared += time.perf_counter() - start
     results: list[EvaluationReport | SolverBoundError] = []
-    for spec in specs:
-        try:
-            policy = _plan(spec, instance, master_seed)
-        except SolverBoundError as exc:
-            results.append(exc)
+    for spec, (policy, seconds) in zip(specs, planned):
+        if isinstance(policy, SolverBoundError):
+            results.append(policy)
             continue
         if isinstance(batch, SolverBoundError):
             results.append(batch)
             continue
-        alg = _alg_costs(policy, batch, workers)
+        start = time.perf_counter()
+        alg = _alg_costs(policy, batch)
         mean_alg = float(alg.mean())
         mean_opt = float(batch.opt.mean())
         ci = _bootstrap_ci(alg, batch.opt, master_seed)
-        wall_ms = int((time.perf_counter() - start) * 1000)
+        seconds += time.perf_counter() - start + shared
+        shared = 0.0
         results.append(
             EvaluationReport(
                 instance_id=instance_id,
@@ -1023,12 +1085,11 @@ def evaluate_all(
                 ratio=mean_alg / mean_opt,
                 ci95_ratio=ci,
                 master_seed=master_seed,
-                wall_ms=wall_ms,
+                wall_ms=int(seconds * 1000),
                 d=spec.threshold_used(),
                 alpha=spec.alpha if spec.kind.startswith("threshold") else None,
             )
         )
-        start = time.perf_counter()
     return results
 
 

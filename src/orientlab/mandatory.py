@@ -25,6 +25,7 @@ __all__ = [
     "mandatory_matrix",
     "is_feasible",
     "feasible_matrix",
+    "completion_matrix",
     "orientation_state",
     "exact_prob_graph",
     "estimate_prob",
@@ -278,6 +279,87 @@ def _edge_state(
         ):
             return ("solved", x)
     return ("open", min(candidates, key=lambda u: by_id[u].key))
+
+
+def _hyperedge_columns(
+    instance: Instance,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per hyperedge, in index order: its member columns in key order and
+    the members' interval ends ``lo`` and ``hi`` (k x 1 each)."""
+    column = {vid: j for j, vid in enumerate(instance.vertex_ids)}
+    lo_all = np.array([v.interval.lo for v in instance.vertices])
+    hi_all = np.array([v.interval.hi for v in instance.vertices])
+    edges = []
+    for members in instance.hyperedges:
+        cols = np.array([column[u] for u in members], dtype=np.intp)
+        edges.append((cols, lo_all[cols][:, None], hi_all[cols][:, None]))
+    return edges
+
+
+def _edge_step(
+    w: np.ndarray, q: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_edge_state` of one hyperedge on R rows at once.
+
+    ``w`` and ``q`` (k x R, member-major) are the members' weights and
+    query flags, members in key order; ``lo`` and ``hi`` (k x 1) their
+    interval ends.  Returns the minimum revealed weight w* of each row
+    (inf when nothing is revealed) and the member to query next, -1
+    where the hyperedge is solved.  The candidates are the unqueried
+    members with lo < w*; the hyperedge is solved when there is none, or
+    when some candidate x has hi_x <= w* and hi_x <= lo_u for every other
+    unqueried u; otherwise the next query is the first candidate in key
+    order.
+    """
+    w_star = np.where(q, w, np.inf).min(axis=0)
+    candidate = ~q & (lo < w_star)
+    free_lo = np.where(q, np.inf, lo)
+    # lowest lo among the other unqueried members: the second lowest for
+    # the member holding the lowest, the lowest for every other member
+    rows = np.arange(q.shape[1])
+    first = free_lo.argmin(axis=0)
+    lowest = free_lo[first, rows]
+    free_lo[first, rows] = np.inf
+    other_lo = np.where(
+        np.arange(len(q))[:, None] == first, free_lo.min(axis=0), lowest
+    )
+    certain = candidate & (hi <= w_star) & (hi <= other_lo)
+    solved = certain.any(axis=0) | ~candidate.any(axis=0)
+    return w_star, np.where(solved, -1, candidate.argmax(axis=0))
+
+
+def completion_matrix(
+    instance: Instance, weights: np.ndarray, queried: np.ndarray
+) -> np.ndarray:
+    """The adaptive completion of every row: N x n weights and the query
+    masks it starts from in, the final query masks out.
+
+    Reproduces ``algorithms._mandatory_completion`` row by row.  That
+    loop keeps the unsolved hyperedges in a deque and appends each one
+    it advances behind the others, so it visits them in rounds: each
+    round takes the hyperedges still pending in increasing index order,
+    and a query made for one hyperedge is seen by every later visit in
+    the same round.  Here the rounds and the hyperedges are a Python
+    loop, and each visit is :func:`_edge_step` on the rows still pending
+    on that hyperedge.
+    """
+    weights_t = np.ascontiguousarray(weights.T)
+    out_t = np.array(queried.T, dtype=bool, order="C")
+    edges = _hyperedge_columns(instance)
+    everyone = np.arange(weights_t.shape[1])
+    pending = [everyone] * len(edges)  # rows still pending on each hyperedge
+    while any(len(rows) for rows in pending):
+        for e, (cols, lo, hi) in enumerate(edges):
+            rows = pending[e]
+            if not len(rows):
+                continue
+            at = np.ix_(cols, rows)
+            _, pick = _edge_step(weights_t[at], out_t[at], lo, hi)
+            advance = pick >= 0
+            rows = rows[advance]
+            out_t[cols[pick[advance]], rows] = True
+            pending[e] = rows
+    return out_t.T
 
 
 def orientation_state(

@@ -90,6 +90,20 @@ class TestRun:
             assert len(out1.strip().splitlines()) == 4
             assert out1 == out2
 
+    def test_leaves_first_on_several_hyperedges_fails_before_sampling(self, monkeypatch, capsys):
+        from orientlab import harness
+
+        def never(*args):
+            raise AssertionError("sampled before the plan was checked")
+
+        monkeypatch.setattr(harness, "_BlockSampler", never)
+        code, out, err = run_main(
+            ["run", "--gen", "fork", "-a", "leaves-first", "--samples", "100"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "orientlab: leaves-first policy is defined for a single hyperedge\n"
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_main(["run", "--samples", "10"], capsys)
         assert code == 2

@@ -2,13 +2,19 @@
 
 For every realization index of a small run, on every named benchmark and
 on the random families with unit and random costs, the batched sampler,
-mandatory-set kernel and cover-first scoring must reproduce exactly what
-the per-realization simulator (``_Recorder`` through ``run_fixed_cover``),
-the offline oracle and the scalar mandatory-set functions give.
+mandatory-set kernel, adaptive completion kernel and the scoring of every
+policy must reproduce exactly the query sets and costs that the
+per-realization simulator (``_Recorder`` through ``run_fixed_cover`` and
+``run_leaves_first``), ``run_two_stage_prefix``, the offline oracle and the
+scalar mandatory-set functions give.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientlab import (
     AlgorithmSpec,
@@ -22,10 +28,18 @@ from orientlab import (
     mandatory_set_cells,
     run_fixed_cover,
     run_leaves_first,
+    run_two_stage_prefix,
     vc_exact_small,
 )
-from orientlab.harness import BENCHMARKS, _alg_costs, _BlockSampler, _PairedBatch, _plan
-from orientlab.mandatory import feasible_matrix, mandatory_matrix
+from orientlab.harness import (
+    BENCHMARKS,
+    _alg_costs,
+    _alg_queries,
+    _BlockSampler,
+    _PairedBatch,
+    _plan,
+)
+from orientlab.mandatory import completion_matrix, feasible_matrix, mandatory_matrix
 
 N = 150
 SEED = 11
@@ -112,7 +126,8 @@ def test_batched_costs_match_scalar_reference(instance):
     for spec, adaptive in _specs(instance):
         policy = _plan(spec, instance, SEED)
         assert policy.adaptive == adaptive, spec.algorithm_id
-        alg = _alg_costs(policy, batch, workers=1)
+        alg = _alg_costs(policy, batch)
+        rows = _alg_queries(policy, batch)
         for i, r in enumerate(realizations):
             if spec.kind == "offline-opt":
                 queried, cost = optimal[i]
@@ -120,18 +135,87 @@ def test_batched_costs_match_scalar_reference(instance):
                 out = run_fixed_cover(instance, policy.stage1, r)
                 queried, cost = out.transcript.queried, out.transcript.total_cost
             assert alg[i] == cost, (spec.algorithm_id, i)
+            assert _members(instance, rows[i]) == queried, (spec.algorithm_id, i)
             if not policy.adaptive and spec.kind != "offline-opt":
                 expect = _members(instance, batch.patterns[batch.pattern[i]]) | set(policy.stage1)
                 assert queried == expect, (spec.algorithm_id, i)
 
 
-def test_leaves_first_matches_scalar_reference():
-    instance = gen_benchmark("single-set")
-    batch = _PairedBatch(instance, SEED, N, VC_BOUND)
-    policy = _plan(AlgorithmSpec("leaves-first"), instance, SEED)
-    alg = _alg_costs(policy, batch, workers=1)
+@pytest.mark.parametrize("instance", [c for _, c in CASES], ids=IDS)
+def test_completion_matrix_matches_transcripts(instance):
+    """The kernel on its own, from the empty stage 1 (baseline) and from
+    a stage 1 that leaves a cover-graph edge uncovered."""
     sampler = _BlockSampler(instance, SEED)
-    expect = [
-        run_leaves_first(instance, sampler.realization(i)).transcript.total_cost for i in range(N)
-    ]
-    assert alg.tolist() == expect
+    weights = sampler.weights(0, N)
+    for spec, adaptive in _specs(instance):
+        if not adaptive:
+            continue
+        chosen = set(spec.cover or ())
+        start = np.array([[v in chosen for v in instance.vertex_ids]] * N)
+        rows = completion_matrix(instance, weights, start)
+        for i in range(N):
+            out = run_fixed_cover(instance, spec.cover or (), sampler.realization(i))
+            assert _members(instance, rows[i]) == out.transcript.queried, (spec.algorithm_id, i)
+
+
+def test_leaves_first_matches_scalar_reference():
+    for instance in (
+        gen_benchmark("single-set", n=3),
+        gen_benchmark("single-set", n=5),
+        gen_benchmark("staircase"),
+    ):
+        batch = _PairedBatch(instance, SEED, N, VC_BOUND)
+        policy = _plan(AlgorithmSpec("leaves-first"), instance, SEED)
+        alg = _alg_costs(policy, batch)
+        rows = _alg_queries(policy, batch)
+        sampler = _BlockSampler(instance, SEED)
+        for i in range(N):
+            out = run_leaves_first(instance, sampler.realization(i))
+            assert _members(instance, rows[i]) == out.transcript.queried, (instance.vertex_ids, i)
+            assert alg[i] == out.transcript.total_cost, (instance.vertex_ids, i)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_two_stage_prefix_matches_scalar_reference(k):
+    # on the staircase the prefix minimum never falls between two later
+    # lower ends; the random hyperedge of six members exercises that case
+    for instance in (
+        gen_benchmark("staircase"),
+        gen_random("hypergraph", 0, n=6, m=1, max_size=6, unit_cost=False),
+    ):
+        batch = _PairedBatch(instance, SEED, N, VC_BOUND)
+        policy = _plan(AlgorithmSpec("two-stage-prefix", k=k), instance, SEED)
+        alg = _alg_costs(policy, batch)
+        rows = _alg_queries(policy, batch)
+        members = instance.hyperedges[0]
+        prefix_cost = math.fsum(instance.costs[v] for v in members[:k])
+        sampler = _BlockSampler(instance, SEED)
+        for i in range(N):
+            cost = run_two_stage_prefix(instance, k, sampler.realization(i))
+            assert alg[i] == cost, i
+            # the scalar policy queries the prefix or the whole hyperedge
+            expect = members[:k] if cost == prefix_cost and k else members
+            assert _members(instance, rows[i]) == set(expect), i
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["gnp", "hypergraph"]),
+    seed=st.integers(0, 2**32 - 1),
+    unit_cost=st.booleans(),
+    share=st.floats(0.0, 1.0),
+)
+def test_completion_matrix_property(family, seed, unit_cost, share):
+    """Random small instance, random stage-1 subset: every kernel row is
+    the scalar transcript's query set."""
+    rng = np.random.default_rng(seed)
+    params = {"n": 7, "p": 0.5} if family == "gnp" else {"n": 7, "m": 3}
+    instance = gen_random(family, rng, unit_cost=unit_cost, **params)
+    stage1 = tuple(v for v in instance.vertex_ids if rng.random() < share)
+    sampler = _BlockSampler(instance, seed)
+    weights = sampler.weights(0, 40)
+    start = np.array([[v in stage1 for v in instance.vertex_ids]] * len(weights))
+    rows = completion_matrix(instance, weights, start)
+    for i in range(len(weights)):
+        out = run_fixed_cover(instance, stage1, sampler.realization(i))
+        assert _members(instance, rows[i]) == out.transcript.queried, i

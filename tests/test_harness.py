@@ -25,7 +25,8 @@ from orientlab import (
     vertex_split,
     vc_interval_union_dp,
 )
-from orientlab.harness import _BlockSampler
+from orientlab import algorithms, harness
+from orientlab.harness import _BlockSampler, _block_sums, _plan
 from test_model import uniform_vertex
 
 
@@ -286,6 +287,33 @@ class TestEvaluate:
         assert row[0] == "fork"
         assert row[-1] == "0"  # timing suppressed by default
         assert float(row[2]) == pytest.approx(2 / (1 + math.sqrt(5)))
+
+    @pytest.mark.parametrize(
+        "n", [1, 7, 999, 1000, 1001, 2000, 2500, 4000, 12345, 100000, 100003]
+    )
+    def test_block_sums_match_array_split(self, n):
+        x = np.random.default_rng(n).random(n) * 3.0
+        blocks = min(n, 1000)
+        expect = np.array([chunk.sum() for chunk in np.array_split(x, blocks)])
+        assert np.array_equal(_block_sums(x, blocks), expect)
+
+    def test_exact_profile_computed_once(self, monkeypatch):
+        inst = gen_random("gnp", 4, n=10, p=0.3, unit_cost=False)
+        specs = [AlgorithmSpec("threshold"), AlgorithmSpec("bestvc"), AlgorithmSpec("baseline")]
+        calls = []
+        exact = harness.exact_prob_graph
+
+        def counted(instance):
+            calls.append(instance)
+            return exact(instance)
+
+        monkeypatch.setattr(harness, "exact_prob_graph", counted)
+        monkeypatch.setattr(algorithms, "exact_prob_graph", counted)
+        harness.evaluate_all(inst, specs, 200, 3)
+        assert len(calls) == 1
+        profile = exact(inst)
+        for spec in specs:
+            assert _plan(spec, inst, 3, profile) == _plan(spec, inst, 3)
 
     def test_block_sampler_matches_interval_support(self):
         inst = gen_benchmark("fork", eps=0.1)

@@ -117,6 +117,8 @@ def test_kernels_match_scalar_reference(instance):
 
 @pytest.mark.parametrize("instance", [c for _, c in CASES], ids=IDS)
 def test_batched_costs_match_scalar_reference(instance):
+    """Costs and query sets of every spec; the adaptive ones (baseline and
+    the non-covering fixed cover) come from ``completion_matrix``."""
     batch = _PairedBatch(instance, SEED, N, VC_BOUND)
     oracle = OfflineOracle(instance, VC_BOUND)
     sampler = _BlockSampler(instance, SEED)
@@ -139,23 +141,6 @@ def test_batched_costs_match_scalar_reference(instance):
             if not policy.adaptive and spec.kind != "offline-opt":
                 expect = _members(instance, batch.patterns[batch.pattern[i]]) | set(policy.stage1)
                 assert queried == expect, (spec.algorithm_id, i)
-
-
-@pytest.mark.parametrize("instance", [c for _, c in CASES], ids=IDS)
-def test_completion_matrix_matches_transcripts(instance):
-    """The kernel on its own, from the empty stage 1 (baseline) and from
-    a stage 1 that leaves a cover-graph edge uncovered."""
-    sampler = _BlockSampler(instance, SEED)
-    weights = sampler.weights(0, N)
-    for spec, adaptive in _specs(instance):
-        if not adaptive:
-            continue
-        chosen = set(spec.cover or ())
-        start = np.array([[v in chosen for v in instance.vertex_ids]] * N)
-        rows = completion_matrix(instance, weights, start)
-        for i in range(N):
-            out = run_fixed_cover(instance, spec.cover or (), sampler.realization(i))
-            assert _members(instance, rows[i]) == out.transcript.queried, (spec.algorithm_id, i)
 
 
 def test_leaves_first_matches_scalar_reference():

@@ -26,7 +26,7 @@ from orientlab import (
     vc_interval_union_dp,
 )
 from orientlab import algorithms, harness
-from orientlab.harness import _BlockSampler, _block_sums, _plan
+from orientlab.harness import _BOOT_TAG, _BlockSampler, _block_sums, _bootstrap_ci, _plan
 from test_model import uniform_vertex
 
 
@@ -296,6 +296,18 @@ class TestEvaluate:
         blocks = min(n, 1000)
         expect = np.array([chunk.sum() for chunk in np.array_split(x, blocks)])
         assert np.array_equal(_block_sums(x, blocks), expect)
+
+    @pytest.mark.parametrize("n", [1, 7, 999, 1000, 2500])
+    def test_bootstrap_matches_one_shot_resample(self, n):
+        rng = np.random.default_rng(n)
+        opt = rng.random(n) + 0.5
+        alg = opt * (1.0 + rng.random(n))
+        blocks = min(n, 1000)
+        alg_sums, opt_sums = _block_sums(alg, blocks), _block_sums(opt, blocks)
+        idx = np.random.default_rng([n, _BOOT_TAG]).integers(0, blocks, size=(1000, blocks))
+        ratios = alg_sums[idx].sum(axis=1) / opt_sums[idx].sum(axis=1)
+        expect = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
+        assert _bootstrap_ci(alg, opt, n) == expect
 
     def test_exact_profile_computed_once(self, monkeypatch):
         inst = gen_random("gnp", 4, n=10, p=0.3, unit_cost=False)

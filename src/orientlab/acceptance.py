@@ -18,8 +18,10 @@ import numpy as np
 from .algorithms import guaranteed_ratio, hyper_ratio, offline_opt
 from .harness import (
     AlgorithmSpec,
+    _raise_bounds,
     best_two_stage_cost,
     evaluate,
+    evaluate_all,
     exact_expected_opt,
     expected_opt_generalized,
     gen_benchmark,
@@ -105,8 +107,8 @@ def check_general_lower_bound() -> CriterionResult:
     ]
     ratios = []
     ok = True
-    for spec in specs:
-        rep = evaluate(inst, spec, 100_000, SEED, "fork")
+    reports = _raise_bounds(evaluate_all(inst, specs, 100_000, SEED, "fork"))
+    for spec, rep in zip(specs, reports):
         ratios.append(f"{spec.algorithm_id}={rep.ratio:.4f}")
         if rep.ratio < bound:
             ok = False
@@ -121,19 +123,17 @@ def check_threshold_upper_bound() -> CriterionResult:
     rng = np.random.default_rng(SEED)
     bound_exact = guaranteed_ratio(1.0) + 0.03
     bound_lr = guaranteed_ratio(2.0, 0.5) + 0.03
+    specs = [AlgorithmSpec("threshold", alpha=1.0), AlgorithmSpec("threshold", alpha=2.0, d=0.5)]
     worst_exact = worst_lr = 0.0
     ok = True
     for i in range(50):
         n = int(rng.integers(6, 17))
         p = float(rng.uniform(0.2, 0.4))
         inst = gen_random("gnp", rng, n=n, p=p)
-        rep = evaluate(inst, AlgorithmSpec("threshold", alpha=1.0), 10_000, SEED + i, f"gnp{i}")
+        rep, rep2 = _raise_bounds(evaluate_all(inst, specs, 10_000, SEED + i, f"gnp{i}"))
         worst_exact = max(worst_exact, rep.ratio)
         if rep.ratio > bound_exact:
             ok = False
-        rep2 = evaluate(
-            inst, AlgorithmSpec("threshold", alpha=2.0, d=0.5), 10_000, SEED + i, f"gnp{i}"
-        )
         worst_lr = max(worst_lr, rep2.ratio)
         if rep2.ratio > bound_lr:
             ok = False
@@ -218,8 +218,8 @@ def check_single_set_lower_bound() -> CriterionResult:
     exact = exact_expected_opt(inst)
     limit = (n * n - n + 1) / n
     bound = n * n / (n * n - n + 1) - 0.02
-    rep_center = evaluate(inst, AlgorithmSpec("baseline"), 100_000, SEED, "single-set")
-    rep_leaves = evaluate(inst, AlgorithmSpec("leaves-first"), 100_000, SEED, "single-set")
+    specs = [AlgorithmSpec("baseline"), AlgorithmSpec("leaves-first")]
+    rep_center, rep_leaves = _raise_bounds(evaluate_all(inst, specs, 100_000, SEED, "single-set"))
     ok = (
         abs(exact - limit) <= 0.01
         and rep_center.ratio >= bound
@@ -254,10 +254,8 @@ def check_cover_choice_barrier() -> CriterionResult:
     """Both stage-1 cover choices pay ~3/2 on the weighted triple."""
     start = time.perf_counter()
     inst = gen_benchmark("weighted-triple", k=100.0, eps=0.01)
-    rep_left = evaluate(inst, AlgorithmSpec("fixed-cover", cover=("x",)), 10_000, SEED, "triple")
-    rep_rest = evaluate(
-        inst, AlgorithmSpec("fixed-cover", cover=("y", "z")), 10_000, SEED, "triple"
-    )
+    covers = [AlgorithmSpec("fixed-cover", cover=c) for c in (("x",), ("y", "z"))]
+    rep_left, rep_rest = _raise_bounds(evaluate_all(inst, covers, 10_000, SEED, "triple"))
     ok = rep_left.ratio >= 1.45 and rep_rest.ratio >= 1.45
     detail = f"cover {{x}} ratio {rep_left.ratio:.4f}, cover {{y,z}} ratio {rep_rest.ratio:.4f}"
     return _result("cover-choice-barrier", ok, detail, start)

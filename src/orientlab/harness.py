@@ -135,9 +135,7 @@ class _BlockSampler:
             w = lo + u[:, 2 * j + 1] * (hi - lo)
             for row in np.flatnonzero(~((lo < w) & (w < hi))):  # pragma: no cover - measure zero
                 a, b = float(lo[row]), float(hi[row])
-                redraw = np.random.Generator(
-                    np.random.Philox(key=[self.master_seed, block, int(row), j])
-                )
+                redraw = np.random.default_rng([self.master_seed, block, int(row), j])
                 x = float(w[row])
                 while not a < x < b:
                     x = a + redraw.random() * (b - a)
@@ -995,34 +993,37 @@ def _block_sums(x: np.ndarray, blocks: int) -> np.ndarray:
 
 
 def _bootstrap_ci(
-    alg: np.ndarray, opt: np.ndarray, master_seed: int, resamples: int = 1000
-) -> tuple[float, float]:
-    """Paired bootstrap CI for the ratio of means.
+    algs: Sequence[np.ndarray], opt: np.ndarray, master_seed: int, resamples: int = 1000
+) -> list[tuple[float, float]]:
+    """Paired bootstrap CIs for the ratio of means, one per algorithm.
 
     Samples are aggregated into up to 1000 paired block sums first and
     blocks are resampled, which preserves the iid bootstrap distribution
-    of the ratio while keeping the cost at resamples x blocks.
+    of the ratio while keeping the cost at resamples x blocks.  The
+    resamples depend only on the seed and the sample count, so one index
+    draw and one set of OPT resample sums serve every algorithm, and each
+    interval is the one that algorithm would get alone.
     """
     rng = np.random.default_rng([master_seed, _BOOT_TAG])
-    blocks = min(len(alg), 1000)
-    alg_sums = _block_sums(alg, blocks)
-    opt_sums = _block_sums(opt, blocks)
+    blocks = min(len(opt), 1000)
+    sums = np.stack([_block_sums(x, blocks) for x in (opt, *algs)])
     # int32 draws the same values from the stream as the default int64
     idx = rng.integers(0, blocks, size=(resamples, blocks), dtype=np.int32)
-    # Gather and sum a few resamples at a time into one reused buffer: the
-    # row sums are the same, and no call faults in megabytes of fresh pages.
-    step = max(1, _BOOT_CELLS // blocks)
-    gathered = np.empty((min(step, resamples), blocks))
-    num, den = np.empty(resamples), np.empty(resamples)
+    # Gather and sum a few resamples at a time into one reused buffer: each
+    # resample sum is still one contiguous row sum, and no call faults in
+    # megabytes of fresh pages.  The indices are in range, so mode="clip"
+    # changes no value; it spares np.take a buffered copy of ``out``.
+    step = max(1, _BOOT_CELLS // (blocks * len(sums)))
+    gathered = np.empty((len(sums), min(step, resamples), blocks))
+    totals = np.empty((len(sums), resamples))
     for a in range(0, resamples, step):
         rows = idx[a : a + step]
-        part = gathered[: len(rows)]
-        np.take(alg_sums, rows, out=part)
-        part.sum(axis=1, out=num[a : a + len(rows)])
-        np.take(opt_sums, rows, out=part)
-        part.sum(axis=1, out=den[a : a + len(rows)])
-    ratios = num / den
-    return float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5))
+        part = gathered[:, : len(rows)]
+        np.take(sums, rows, axis=1, out=part, mode="clip")
+        part.sum(axis=2, out=totals[:, a : a + len(rows)])
+    ratios = totals[1:] / totals[0]
+    lo, hi = np.percentile(ratios, [2.5, 97.5], axis=1)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def evaluate_all(
@@ -1042,15 +1043,19 @@ def evaluate_all(
     the seed (wall_ms aside); ``workers`` is accepted and changes
     nothing.  Every spec is planned first, so a spec that cannot run
     fails before anything is sampled; then the realizations are sampled
-    and the optimum solved once for all specs, and the first report's
-    wall_ms includes that shared phase.  A spec whose planning, or the
-    optimum, exceeds a solver bound gets the SolverBoundError in place of
-    its report.
+    and the optimum solved once for all specs, every spec is scored, and
+    one bootstrap draw gives every spec its CI.  A report's wall_ms is
+    its own plan and scoring plus an equal share of the bootstrap; the
+    first report's also includes the shared profile and sample.  A spec
+    whose planning, or the optimum, exceeds a solver bound gets the
+    SolverBoundError in place of its report.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if not instance.is_reduced():
         raise InstanceError("evaluate requires a reduced instance")
+    if not instance.hyperedges:  # the only way a reduced instance has E[OPT] = 0
+        raise InstanceError("E[OPT] is 0: nothing to orient")
     start = time.perf_counter()
     profile = None
     if instance.kind == "graph" and any(s.kind in ("threshold", "bestvc") for s in specs):
@@ -1065,45 +1070,47 @@ def evaluate_all(
             policy = exc
         planned.append((policy, time.perf_counter() - start))
     start = time.perf_counter()
-    batch: _PairedBatch | SolverBoundError
     try:
         batch = _PairedBatch(instance, master_seed, n_samples, vc_bound)
     except SolverBoundError as exc:
-        batch = exc
-    else:
-        if not batch.opt.any():
-            raise InstanceError("E[OPT] is 0: nothing to orient")
+        return [p if isinstance(p, SolverBoundError) else exc for p, _ in planned]
     shared += time.perf_counter() - start
-    results: list[EvaluationReport | SolverBoundError] = []
-    for spec, (policy, seconds) in zip(specs, planned):
-        if isinstance(policy, SolverBoundError):
-            results.append(policy)
-            continue
-        if isinstance(batch, SolverBoundError):
-            results.append(batch)
-            continue
-        start = time.perf_counter()
-        alg = _alg_costs(policy, batch)
+    scored: dict[int, tuple[np.ndarray, float]] = {}  # spec index -> costs, seconds
+    for i, (policy, seconds) in enumerate(planned):
+        if not isinstance(policy, SolverBoundError):
+            start = time.perf_counter()
+            scored[i] = (_alg_costs(policy, batch), seconds + time.perf_counter() - start)
+    start = time.perf_counter()
+    cis = _bootstrap_ci([alg for alg, _ in scored.values()], batch.opt, master_seed)
+    share = (time.perf_counter() - start) / max(len(scored), 1)
+    mean_opt = float(batch.opt.mean())
+    results: list = [policy for policy, _ in planned]  # failed plans keep their error
+    for (i, (alg, seconds)), ci in zip(scored.items(), cis):
+        spec = specs[i]
         mean_alg = float(alg.mean())
-        mean_opt = float(batch.opt.mean())
-        ci = _bootstrap_ci(alg, batch.opt, master_seed)
-        seconds += time.perf_counter() - start + shared
-        shared = 0.0
-        results.append(
-            EvaluationReport(
-                instance_id=instance_id,
-                algorithm_id=spec.algorithm_id,
-                n_samples=n_samples,
-                mean_alg=mean_alg,
-                mean_opt=mean_opt,
-                ratio=mean_alg / mean_opt,
-                ci95_ratio=ci,
-                master_seed=master_seed,
-                wall_ms=int(seconds * 1000),
-                d=spec.threshold_used(),
-                alpha=spec.alpha if spec.kind.startswith("threshold") else None,
-            )
+        results[i] = EvaluationReport(
+            instance_id=instance_id,
+            algorithm_id=spec.algorithm_id,
+            n_samples=n_samples,
+            mean_alg=mean_alg,
+            mean_opt=mean_opt,
+            ratio=mean_alg / mean_opt,
+            ci95_ratio=ci,
+            master_seed=master_seed,
+            wall_ms=int((seconds + share + shared) * 1000),
+            d=spec.threshold_used(),
+            alpha=spec.alpha if spec.kind.startswith("threshold") else None,
         )
+        shared = 0.0
+    return results
+
+
+def _raise_bounds(results: list[EvaluationReport | SolverBoundError]) -> list[EvaluationReport]:
+    """The reports of :func:`evaluate_all`; raises the first
+    SolverBoundError among them instead."""
+    for result in results:
+        if isinstance(result, SolverBoundError):
+            raise result
     return results
 
 
@@ -1117,12 +1124,10 @@ def evaluate(
     vc_bound: int = 24,
 ) -> EvaluationReport:
     """Paired Monte-Carlo estimate of E[algorithm] / E[optimum]: the
-    one-spec case of :func:`evaluate_all`."""
-    (result,) = evaluate_all(
-        instance, [spec], n_samples, master_seed, instance_id, workers, vc_bound
+    one-spec case of :func:`evaluate_all`, raising its solver bound."""
+    (result,) = _raise_bounds(
+        evaluate_all(instance, [spec], n_samples, master_seed, instance_id, workers, vc_bound)
     )
-    if isinstance(result, SolverBoundError):
-        raise result
     return result
 
 

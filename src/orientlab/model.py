@@ -100,6 +100,8 @@ class Pmf:
                 raise InstanceError(f"cell mass {c.mass!r} is not a positive finite number")
             if not owner.covers(c.cell):
                 raise InstanceError(f"cell {c.cell} outside interval {owner}")
+            if not (math.isfinite(c.cell.length) and math.nextafter(c.cell.lo, math.inf) < c.cell.hi):
+                raise InstanceError(f"cell {c.cell} is too narrow or too wide to draw a weight")
         for a, b in zip(self.cells, self.cells[1:]):
             if a.cell.hi > b.cell.lo:
                 raise InstanceError("pmf cells overlap or are unsorted")
@@ -305,7 +307,7 @@ def parse_instance(text: str) -> Instance:
             vertices.append(
                 UncertainVertex(str(row["id"]), float(row["cost"]), interval, Pmf(cells))
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise InstanceError(f"malformed vertex entry: {row!r}") from exc
     return make_instance(vertices, [[str(u) for u in f] for f in hyperedges])
 

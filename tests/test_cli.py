@@ -1,11 +1,16 @@
+import io
 import json
+import math
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orientlab import gen_random, parse_instance, serialize_instance
+from orientlab import gen_benchmark, gen_random, parse_instance, serialize_instance
 from orientlab.cli import main
 
 
@@ -194,10 +199,14 @@ def _vertex_doc(vid, lo, hi, cost=1.0, mass=1.0):
         ),
         ({"vertices": [_vertex_doc("a", 0, "inf")]}, "non-finite"),
         ({"vertices": [_vertex_doc("a", 0, 1, mass="nan")]}, "finite"),
+        ({"vertices": [_vertex_doc("a", 0, 2, cost=10**400)]}, "malformed vertex"),
+        ({"vertices": [_vertex_doc("a", 1.0, math.nextafter(1.0, 2.0))]}, "too narrow"),
+        ({"vertices": [_vertex_doc("a", -1e308, 1e308)]}, "too wide"),
+        ({"vertices": []}, "E[OPT] is 0"),
     ],
     ids=[
         "vertices-not-list", "hyperedges-not-list", "infinite-cost", "infinite-interval",
-        "nan-mass",
+        "nan-mass", "huge-integer-cost", "no-float-inside", "too-wide", "no-vertices",
     ],
 )
 def test_malformed_instance_file_exits_2(doc, message, tmp_path, capsys):
@@ -219,3 +228,62 @@ def test_instance_without_hyperedges_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "orientlab: E[OPT] is 0: nothing to orient\n"
+
+
+# integers of every magnitude, past the float range too
+_INTEGERS = st.builds(lambda m, e: m * 10**e, st.integers(), st.integers(0, 400))
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTEGERS | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_VALID_DOCS = [
+    serialize_instance(gen_benchmark("fork", eps=0.1)),
+    serialize_instance(gen_benchmark("weighted-triple")),
+]
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON document, as tuples of keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@given(st.sampled_from(_VALID_DOCS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_instance_exits_0_or_2_with_one_line(tmp_path_factory, text, data):
+    # swap values at random paths for random JSON values, or drop keys and
+    # list items: the run either succeeds or fails with exactly one line
+    doc = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 4))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = data.draw(st.sampled_from(paths))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(_JSON)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["run", "--instance", str(path), "--samples", "20"])
+    if code == 0:
+        assert out.getvalue().startswith("instance_id,") and err.getvalue() == ""
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("orientlab: ") and err.getvalue().count("\n") == 1

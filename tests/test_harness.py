@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from orientlab import (
     AlgorithmSpec,
     InstanceError,
+    SolverBoundError,
     best_two_stage_cost,
     build_cover_graph,
     csv_header,
@@ -299,15 +301,67 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n", [1, 7, 999, 1000, 2500])
     def test_bootstrap_matches_one_shot_resample(self, n):
+        # one shared draw gives each algorithm the interval of its own
+        # one-shot resample, whatever the number of algorithms
         rng = np.random.default_rng(n)
         opt = rng.random(n) + 0.5
-        alg = opt * (1.0 + rng.random(n))
         blocks = min(n, 1000)
-        alg_sums, opt_sums = _block_sums(alg, blocks), _block_sums(opt, blocks)
+        opt_sums = _block_sums(opt, blocks)
         idx = np.random.default_rng([n, _BOOT_TAG]).integers(0, blocks, size=(1000, blocks))
-        ratios = alg_sums[idx].sum(axis=1) / opt_sums[idx].sum(axis=1)
-        expect = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
-        assert _bootstrap_ci(alg, opt, n) == expect
+        for k in (1, 3):
+            algs = [opt * (1.0 + rng.random(n)) for _ in range(k)]
+            expect = []
+            for alg in algs:
+                alg_sums = _block_sums(alg, blocks)
+                ratios = alg_sums[idx].sum(axis=1) / opt_sums[idx].sum(axis=1)
+                expect.append((float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5))))
+            assert _bootstrap_ci(algs, opt, n) == expect
+
+    @pytest.mark.parametrize(
+        "inst, specs",
+        [
+            (
+                gen_random("gnp", 21, n=12, p=0.3, unit_cost=False),
+                [
+                    AlgorithmSpec("threshold"),
+                    AlgorithmSpec("threshold", alpha=2.0, d=0.5),
+                    AlgorithmSpec("bestvc"),
+                    AlgorithmSpec("baseline"),
+                ],
+            ),
+            (
+                gen_random("hypergraph", 22, n=10, m=4, unit_cost=False),
+                [
+                    AlgorithmSpec("threshold-hyper"),
+                    AlgorithmSpec("bestvc"),
+                    AlgorithmSpec("baseline"),
+                ],
+            ),
+        ],
+        ids=["gnp", "hypergraph"],
+    )
+    def test_evaluate_all_matches_evaluate(self, inst, specs):
+        reports = harness.evaluate_all(inst, specs, 1500, 17, "inst")
+        for spec, rep in zip(specs, reports, strict=True):
+            alone = evaluate(inst, spec, 1500, 17, "inst")
+            assert replace(rep, wall_ms=0) == replace(alone, wall_ms=0)
+
+    def test_plan_failure_leaves_other_reports_alone(self, monkeypatch):
+        inst = gen_random("gnp", 23, n=10, p=0.3, unit_cost=False)
+        specs = [AlgorithmSpec("threshold"), AlgorithmSpec("bestvc"), AlgorithmSpec("baseline")]
+        before = harness.evaluate_all(inst, specs, 800, 5, "inst")
+        plan = harness._plan
+
+        def failing(spec, *args):
+            if spec.kind == "bestvc":
+                raise SolverBoundError("cover bound exceeded")
+            return plan(spec, *args)
+
+        monkeypatch.setattr(harness, "_plan", failing)
+        first, middle, last = harness.evaluate_all(inst, specs, 800, 5, "inst")
+        assert isinstance(middle, SolverBoundError)
+        assert replace(first, wall_ms=0) == replace(before[0], wall_ms=0)
+        assert replace(last, wall_ms=0) == replace(before[2], wall_ms=0)
 
     def test_exact_profile_computed_once(self, monkeypatch):
         inst = gen_random("gnp", 4, n=10, p=0.3, unit_cost=False)
@@ -342,6 +396,16 @@ class TestEvaluate:
         for row, index in zip(weights, range(4090, 4100)):
             r = sampler.realization(index)
             assert row.tolist() == [r[v] for v in inst.vertex_ids]
+
+    def test_block_sampler_redraws_endpoint_hits(self):
+        # one float lies strictly inside (1, 1 + 2 ulp), so most draws land
+        # on an end and are redrawn from their own stream
+        inside = math.nextafter(1.0, 2.0)
+        narrow = uniform_vertex("a", 1.0, math.nextafter(inside, 2.0))
+        inst = make_instance([narrow, uniform_vertex("b", 1.0, 3.0)], [["a", "b"]])
+        weights = _BlockSampler(inst, 5).weights(0, 200)
+        assert (weights[:, 0] == inside).all()
+        assert _BlockSampler(inst, 5).realization(7)["a"] == inside
 
     def test_block_sampler_index_pure(self):
         inst = gen_benchmark("fork", eps=0.1)

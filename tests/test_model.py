@@ -195,6 +195,13 @@ class TestElementaryGrid:
         # x has half its mass in each of the first two cells
         assert dict(matrix["x"]) == {0: 0.5, 1: 0.5}
 
+    def test_probability_matrix_keeps_cells_with_no_float_inside(self):
+        # an elementary cell is never sampled, so one ulp wide is allowed
+        hi = math.nextafter(2.0, 3.0)
+        inst = make_instance([uniform_vertex("a", 0, 2), uniform_vertex("b", 1, hi)], [["a", "b"]])
+        assert elementary_grid(inst) == (0.0, 1.0, 2.0, hi)
+        assert [i for i, _ in probability_matrix(inst)["b"]] == [1, 2]
+
 
 class TestSampling:
     def test_weight_inside_interval(self):

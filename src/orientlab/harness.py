@@ -885,7 +885,8 @@ class _PairedBatch:
     Distinct mandatory sets ("patterns") are numbered in order of first
     occurrence, so a cover-solver bound trips on the same realization as
     it would in a realization-by-realization scan.  Every query set scored
-    here is checked for feasibility on every realization.
+    here is checked for feasibility on every realization by :meth:`check`,
+    in one pass over the batch.
     """
 
     def __init__(self, instance: Instance, master_seed: int, n_samples: int, vc_bound: int):
@@ -903,7 +904,8 @@ class _PairedBatch:
             for row in self.patterns
         ]
         self.optimal = np.array(optimal)  # pattern -> optimal query mask
-        self.opt = self.score(self.optimal[self.pattern], "offline optimum is not feasible")
+        self._scored: list[tuple[np.ndarray, np.ndarray, str]] = []
+        self.opt = self.score(self.optimal, self.pattern, "offline optimum is not feasible")
 
     @staticmethod
     def _blocks(rows: np.ndarray) -> list[np.ndarray]:
@@ -915,17 +917,27 @@ class _PairedBatch:
         chosen = set(members)
         return np.array([v in chosen for v in self.instance.vertex_ids], dtype=bool)
 
-    def score(self, queried: np.ndarray, infeasible: str) -> np.ndarray:
-        """Per-realization cost of querying ``queried[i]`` on realization
-        i; raises AssertionError with ``infeasible`` unless every set is
-        feasible on its realization.  Each distinct set is costed once."""
-        for w, q in zip(self._blocks(self.weights), self._blocks(queried)):
-            if not feasible_matrix(self.instance, w, q).all():
-                raise AssertionError(infeasible)
-        index, first = _number_rows(queried)
+    def score(self, sets: np.ndarray, index: np.ndarray, infeasible: str) -> np.ndarray:
+        """Per-realization cost of querying ``sets[index[i]]`` on
+        realization i, each of ``sets`` costed once as an exact sum.
+        :meth:`check` raises AssertionError with ``infeasible`` unless
+        every set is feasible on its realization."""
+        self._scored.append((sets, index, infeasible))
         costs = [v.cost for v in self.instance.vertices]
-        per_set = [math.fsum(costs[j] for j in np.flatnonzero(queried[i])) for i in first]
-        return np.array(per_set)[index]
+        return np.array([math.fsum(itertools.compress(costs, row)) for row in sets.tolist()])[index]
+
+    def check(self) -> None:
+        """Check every scored query set on every realization: one stacked
+        :func:`feasible_matrix` call per row block.  Raises the message of
+        the first set, in scoring order, that fails somewhere."""
+        feasible = np.ones(len(self._scored), dtype=bool)
+        for a in range(0, len(self.weights), _KERNEL_ROWS):
+            rows = slice(a, a + _KERNEL_ROWS)
+            stack = np.stack([sets[index[rows]] for sets, index, _ in self._scored])
+            feasible &= feasible_matrix(self.instance, self.weights[rows], stack).all(axis=1)
+        for ok, (_, _, infeasible) in zip(feasible.tolist(), self._scored):
+            if not ok:
+                raise AssertionError(infeasible)
 
 
 def _leaves_first_stage1(instance: Instance, weights: np.ndarray) -> np.ndarray:
@@ -960,27 +972,38 @@ def _two_stage_prefix(instance: Instance, k: int, weights: np.ndarray) -> np.nda
     return queried
 
 
-def _alg_queries(policy: Policy, batch: _PairedBatch) -> np.ndarray:
-    """Query set of a planned policy on every realization, one mask per row."""
+def _query_sets(policy: Policy, batch: _PairedBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Query sets of a planned policy: its distinct query masks, and the
+    number of the mask of each realization.  A cover-first set and the
+    optimum are functions of the mandatory pattern, so they come one per
+    pattern; the adaptive sets are numbered in order of first occurrence."""
     instance, weights, spec = batch.instance, batch.weights, policy.spec
     if spec.kind == "offline-opt":
-        return batch.optimal[batch.pattern]
+        return batch.optimal, batch.pattern
+    if not policy.adaptive:
+        return batch.patterns | batch.mask(policy.stage1), batch.pattern
     if spec.kind == "two-stage-prefix":
-        return _two_stage_prefix(instance, spec.k or 0, weights)
-    if spec.kind == "leaves-first":
-        start = _leaves_first_stage1(instance, weights)
+        queried = _two_stage_prefix(instance, spec.k or 0, weights)
+    elif spec.kind == "leaves-first":
+        queried = completion_matrix(instance, weights, _leaves_first_stage1(instance, weights))
     else:
         start = np.broadcast_to(batch.mask(policy.stage1), weights.shape)
-        if not policy.adaptive:
-            return batch.patterns[batch.pattern] | start
-    return completion_matrix(instance, weights, start)
+        queried = completion_matrix(instance, weights, start)
+    index, first = _number_rows(queried)
+    return queried[first], index
+
+
+def _alg_queries(policy: Policy, batch: _PairedBatch) -> np.ndarray:
+    """Query set of a planned policy on every realization, one mask per row."""
+    sets, index = _query_sets(policy, batch)
+    return sets[index]
 
 
 def _alg_costs(policy: Policy, batch: _PairedBatch) -> np.ndarray:
     if policy.spec.kind == "offline-opt":
         return batch.opt
-    queried = _alg_queries(policy, batch)
-    return batch.score(queried, "algorithm stopped on an infeasible query set")
+    sets, index = _query_sets(policy, batch)
+    return batch.score(sets, index, "algorithm stopped on an infeasible query set")
 
 
 def _block_sums(x: np.ndarray, blocks: int) -> np.ndarray:
@@ -990,6 +1013,26 @@ def _block_sums(x: np.ndarray, blocks: int) -> np.ndarray:
     head = x[: r * (q + 1)].reshape(r, q + 1).sum(axis=1)
     tail = x[r * (q + 1) :].reshape(blocks - r, q).sum(axis=1)
     return np.concatenate([head, tail])
+
+
+def _percentiles(x: np.ndarray, q: Sequence[float]) -> np.ndarray:
+    """``np.percentile(x, q, axis=1)`` of a 2-D array, bit for bit, from
+    one partition: numpy's default "linear" rule takes the virtual index
+    (n - 1) q / 100 between two order statistics a and b and, like
+    numpy's ``_lerp``, gives a + (b - a) t, or b - (b - a)(1 - t) where
+    the weight t is at least 1/2.  np.percentile also calls np.unique,
+    whose first call in a process imports numpy.ma."""
+    n = x.shape[1]
+    virtual = (n - 1) * (np.asarray(q, dtype=float) / 100)
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= n - 1  # numpy takes the largest value from index -1
+    below[last] = above[last] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    part = np.partition(x, np.concatenate([below, above]), axis=1)
+    a, b = part[:, below].T, part[:, above].T
+    t = (virtual - below)[:, None]
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def _bootstrap_ci(
@@ -1022,7 +1065,7 @@ def _bootstrap_ci(
         np.take(sums, rows, axis=1, out=part, mode="clip")
         part.sum(axis=2, out=totals[:, a : a + len(rows)])
     ratios = totals[1:] / totals[0]
-    lo, hi = np.percentile(ratios, [2.5, 97.5], axis=1)
+    lo, hi = _percentiles(ratios, [2.5, 97.5])
     return list(zip(lo.tolist(), hi.tolist()))
 
 
@@ -1043,10 +1086,12 @@ def evaluate_all(
     the seed (wall_ms aside); ``workers`` is accepted and changes
     nothing.  Every spec is planned first, so a spec that cannot run
     fails before anything is sampled; then the realizations are sampled
-    and the optimum solved once for all specs, every spec is scored, and
+    and the optimum solved once for all specs, every spec is scored, one
+    pass checks every query set for feasibility on every realization, and
     one bootstrap draw gives every spec its CI.  A report's wall_ms is
     its own plan and scoring plus an equal share of the bootstrap; the
-    first report's also includes the shared profile and sample.  A spec
+    first report's also includes the shared profile, sample and
+    feasibility pass.  A spec
     whose planning, or the optimum, exceeds a solver bound gets the
     SolverBoundError in place of its report.
     """
@@ -1080,6 +1125,9 @@ def evaluate_all(
         if not isinstance(policy, SolverBoundError):
             start = time.perf_counter()
             scored[i] = (_alg_costs(policy, batch), seconds + time.perf_counter() - start)
+    start = time.perf_counter()
+    batch.check()
+    shared += time.perf_counter() - start
     start = time.perf_counter()
     cis = _bootstrap_ci([alg for alg, _ in scored.values()], batch.opt, master_seed)
     share = (time.perf_counter() - start) / max(len(scored), 1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -217,7 +216,8 @@ def mandatory_matrix(instance: Instance, weights: np.ndarray) -> np.ndarray:
         min_hit = ((lo_m < sub) & (sub < hi_m) & ~at_min).any(axis=0)
         hits = (holds_min | (at_min & min_hit)).reshape(-1, weights_t.shape[1])
         flat = cols.ravel()
-        for j in np.unique(flat):
+        # a set, not np.unique, whose first call imports numpy.ma
+        for j in sorted(set(flat.tolist())):
             out[j] |= hits[flat == j].any(axis=0)
     return out.T
 
@@ -226,22 +226,28 @@ def feasible_matrix(
     instance: Instance, weights: np.ndarray, queried: np.ndarray
 ) -> np.ndarray:
     """:func:`is_feasible` of every row: N x n weights and query masks in,
-    one boolean per realization out."""
+    one boolean per realization out.
+
+    ``queried`` may also be a stack of S query matrices on the same
+    weights (S x N x n, out S x N): the hyperedge minima are found once
+    for the whole stack.
+    """
     weights_t = np.ascontiguousarray(weights.T)
-    queried_t = np.ascontiguousarray(queried.T)
-    bad = np.zeros(weights_t.shape[1], dtype=bool)
+    stack = queried.reshape(-1, *queried.shape[-2:])
+    queried_t = np.ascontiguousarray(stack.transpose(2, 0, 1))  # n x S x N
+    bad = np.zeros(stack.shape[:2], dtype=bool)
     for cols, lo, hi in _edge_groups(instance):
         sub, at_min, holds_min, lo_m, hi_m = _minimum_parts(weights_t, cols, lo, hi)
-        q = queried_t[cols]
-        min_queried = (q & at_min).any(axis=0)
+        q = queried_t[cols]  # k x E x S x N; the weight parts get an S axis
+        min_queried = (q & at_min[:, :, None]).any(axis=0)
         # minimum queried: so is every member whose interval holds its weight
-        bad |= (min_queried & (holds_min & ~q).any(axis=0)).any(axis=0)
+        bad |= (min_queried & (holds_min[:, :, None] & ~q).any(axis=0)).any(axis=0)
         # minimum unqueried: every member overlapping its interval is
         # queried at or beyond the interval's right end
         rivals = (np.maximum(lo, lo_m) < np.minimum(hi, hi_m)) & ~at_min
-        short = (rivals & (~q | (sub < hi_m))).any(axis=0)
+        short = (rivals[:, :, None] & (~q | (sub < hi_m)[:, :, None])).any(axis=0)
         bad |= (~min_queried & short).any(axis=0)
-    return ~bad
+    return ~bad.reshape(queried.shape[:-1])
 
 
 def _edge_state(
@@ -379,18 +385,19 @@ def exact_prob_graph(instance: Instance) -> MandatoryProfile:
     """Exact mandatory probabilities for graphs.
 
     For an edge {u, v} the events "w_u in I_v" are independent across
-    neighbors u, so p_v = 1 - prod_u P[w_u not in I_v].  Computed in
-    rational arithmetic so that e.g. a single-neighbor vertex gets back
-    exactly the overlap mass.
+    neighbors u, so p_v = 1 - prod_u P[w_u not in I_v].  Computed exactly
+    in integer ratios and rounded once, so that e.g. a single-neighbor
+    vertex gets back exactly the overlap mass.
     """
     if instance.kind != "graph":
         raise ValueError("exact probabilities only for graphs; estimate instead")
     probs: dict[str, float] = {}
     for v in instance.vertices:
-        miss = Fraction(1)
+        miss_n, miss_d = 1, 1
         for u in instance.graph_neighbors[v.id]:
-            miss *= Fraction(1) - instance.by_id[u].pmf.mass_in_exact(v.interval)
-        probs[v.id] = float(Fraction(1) - miss)
+            n, d = instance.by_id[u].pmf.mass_ratio(v.interval)
+            miss_n, miss_d = miss_n * (d - n), miss_d * d
+        probs[v.id] = (miss_d - miss_n) / miss_d
     return MandatoryProfile(probs, method="exact-graph")
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -73,6 +72,13 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
+def _difference(a: float, b: float) -> tuple[int, int]:
+    """a - b exactly, as an integer ratio with a positive denominator."""
+    a_n, a_d = a.as_integer_ratio()
+    b_n, b_d = b.as_integer_ratio()
+    return a_n * b_d - b_n * a_d, a_d * b_d
+
+
 @dataclass(frozen=True)
 class PmfCell:
     cell: Interval
@@ -109,21 +115,27 @@ class Pmf:
             raise InstanceError("pmf support does not span the vertex interval")
 
     def mass_in(self, window: Interval) -> float:
-        """P[w in window] under the piecewise-uniform density."""
-        return float(self.mass_in_exact(window))
+        """P[w in window] under the piecewise-uniform density, the exact
+        value rounded once (int true division is correctly rounded)."""
+        num, den = self.mass_ratio(window)
+        return num / den
 
-    def mass_in_exact(self, window: Interval) -> Fraction:
-        """Same as :meth:`mass_in` but in exact rational arithmetic."""
-        total = Fraction(0)
+    def mass_ratio(self, window: Interval) -> tuple[int, int]:
+        """P[w in window] exactly, as an unreduced fraction num / den with
+        den > 0: every float is an integer ratio, so the sum of
+        mass * overlap / width over the cells is one; no gcd is taken."""
+        num, den = 0, 1
         for c in self.cells:
             lo = max(c.cell.lo, window.lo)
             hi = min(c.cell.hi, window.hi)
             if lo < hi:
-                frac = (Fraction(hi) - Fraction(lo)) / (
-                    Fraction(c.cell.hi) - Fraction(c.cell.lo)
-                )
-                total += Fraction(c.mass) * frac
-        return total
+                m_n, m_d = c.mass.as_integer_ratio()
+                overlap_n, overlap_d = _difference(hi, lo)
+                width_n, width_d = _difference(c.cell.hi, c.cell.lo)
+                term_n = m_n * overlap_n * width_d
+                term_d = m_d * overlap_d * width_n
+                num, den = num * term_d + term_n * den, den * term_d
+        return num, den
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -287,3 +289,48 @@ def test_mutated_instance_exits_0_or_2_with_one_line(tmp_path_factory, text, dat
         assert code == 2
         assert out.getvalue() == ""
         assert err.getvalue().startswith("orientlab: ") and err.getvalue().count("\n") == 1
+
+
+@given(
+    family=st.sampled_from(["gnp", "hypergraph"]),
+    seed=st.integers(0, 2**32 - 1),
+    unit_cost=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_threads_do_not_change_bytes_property(tmp_path_factory, family, seed, unit_cost):
+    if family == "gnp":
+        instance = gen_random("gnp", seed, n=7, p=0.4, unit_cost=unit_cost)
+        algorithms = ["-a", "threshold", "-a", "bestvc", "-a", "baseline"]
+    else:
+        instance = gen_random("hypergraph", seed, n=7, m=3, unit_cost=unit_cost)
+        algorithms = ["-a", "threshold-hyper", "-a", "bestvc", "-a", "baseline"]
+    path = tmp_path_factory.getbasetemp() / "threads.json"
+    path.write_text(serialize_instance(instance))
+    runs = []
+    for threads in ("1", "2"):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["run", "--instance", str(path), *algorithms, "--samples", "300"]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--seed", str(seed % 1000), "--threads", threads])
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 2)  # 2 only for an edgeless draw
+
+
+def test_run_and_check_leave_numpy_ma_unimported():
+    # np.percentile and np.unique import numpy.ma on their first call,
+    # which every fresh process would pay inside its first evaluation
+    import orientlab
+
+    script = (
+        "import sys\n"
+        "from orientlab.cli import main\n"
+        "main(['run', '--gen', 'fork', '--samples', '500', '--seed', '3'])\n"
+        "assert 'numpy.ma' not in sys.modules, 'run'\n"
+        "main(['check', 'thresholds'])\n"
+        "assert 'numpy.ma' not in sys.modules, 'check thresholds'\n"
+    )
+    paths = [str(Path(orientlab.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

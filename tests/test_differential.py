@@ -204,3 +204,59 @@ def test_completion_matrix_property(family, seed, unit_cost, share):
     for i in range(len(weights)):
         out = run_fixed_cover(instance, stage1, sampler.realization(i))
         assert _members(instance, rows[i]) == out.transcript.queried, i
+
+
+@pytest.mark.parametrize("instance", [c for _, c in CASES], ids=IDS)
+def test_stacked_feasibility_matches_scalar_reference(instance):
+    """One ``feasible_matrix`` call on a stack of query matrices gives
+    :func:`is_feasible` for every set and every index: the optimum and
+    every spec's query sets, random sets and the full set."""
+    batch = _PairedBatch(instance, SEED, N, VC_BOUND)
+    stack = [batch.optimal[batch.pattern]]
+    stack += [_alg_queries(_plan(spec, instance, SEED), batch) for spec, _ in _specs(instance)]
+    rng = np.random.default_rng(SEED)
+    stack += [rng.random(batch.weights.shape) < share for share in (0.5, 0.9)]
+    stack.append(np.ones(batch.weights.shape, dtype=bool))
+    stack = np.stack(stack)
+    feasible = feasible_matrix(instance, batch.weights, stack)
+    assert feasible.shape == stack.shape[:2]
+    sampler = _BlockSampler(instance, SEED)
+    for i in range(N):
+        r = sampler.realization(i)
+        for s, queried in enumerate(stack):
+            assert feasible[s, i] == is_feasible(instance, r, _members(instance, queried[i])), (s, i)
+    # the last set is feasible everywhere and a random half mostly not
+    assert feasible[-1].all() and not feasible[-3].all()
+
+
+def _set_failing_at(batch, row):
+    """A query set (distinct masks, index) that is the full set on every
+    realization but ``row``, where nothing is queried: on a reduced
+    instance the empty set is never feasible."""
+    n = len(batch.instance.vertices)
+    index = np.zeros(len(batch.weights), dtype=np.intp)
+    index[row] = 1
+    return np.array([[True] * n, [False] * n]), index
+
+
+@pytest.mark.parametrize("row", [0, 511, 512, 1023, 1199])
+def test_batch_check_sees_every_row_of_every_set(row):
+    batch = _PairedBatch(gen_benchmark("fork"), SEED, 1200, VC_BOUND)
+    everything = np.ones((1, 3), dtype=bool), np.zeros(1200, dtype=np.intp)
+    batch.score(*everything, "first set")
+    batch.check()
+    batch.score(*_set_failing_at(batch, row), "second set")
+    batch.score(*everything, "third set")
+    with pytest.raises(AssertionError, match="^second set$"):
+        batch.check()
+
+
+def test_batch_check_reports_optimum_then_specs_in_order():
+    batch = _PairedBatch(gen_benchmark("fork"), SEED, 600, VC_BOUND)
+    batch.score(*_set_failing_at(batch, 7), "first set")
+    batch.score(*_set_failing_at(batch, 3), "second set")
+    with pytest.raises(AssertionError, match="^first set$"):
+        batch.check()
+    batch.optimal[:] = False  # the optimum's sets, scored at construction
+    with pytest.raises(AssertionError, match="^offline optimum is not feasible$"):
+        batch.check()

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientlab import (
     AlgorithmSpec,
@@ -28,7 +30,14 @@ from orientlab import (
     vc_interval_union_dp,
 )
 from orientlab import algorithms, harness
-from orientlab.harness import _BOOT_TAG, _BlockSampler, _block_sums, _bootstrap_ci, _plan
+from orientlab.harness import (
+    _BOOT_TAG,
+    _BlockSampler,
+    _block_sums,
+    _bootstrap_ci,
+    _percentiles,
+    _plan,
+)
 from test_model import uniform_vertex
 
 
@@ -298,6 +307,21 @@ class TestEvaluate:
         blocks = min(n, 1000)
         expect = np.array([chunk.sum() for chunk in np.array_split(x, blocks)])
         assert np.array_equal(_block_sums(x, blocks), expect)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 7, 999, 1000]))
+    def test_percentiles_match_numpy_bit_for_bit(self, seed, n):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            k = int(rng.integers(1, 7))
+            if rng.random() < 0.3:  # ties: a few distinct values
+                x = rng.choice(rng.random(int(rng.integers(1, 5))) * 10.0, size=(k, n))
+            else:
+                x = 10.0 ** rng.uniform(-3.0, 6.0, size=(k, n))
+            q = [2.5, 97.5] if rng.random() < 0.5 else list(rng.uniform(0.0, 100.0, 3))
+            expect = np.percentile(x, q, axis=1)
+            got = _percentiles(x, q)
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 999, 1000, 2500])
     def test_bootstrap_matches_one_shot_resample(self, n):

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from orientlab import (
+    Interval,
     MandatoryProfile,
     Realization,
     elementary_grid,
@@ -18,8 +20,10 @@ from orientlab import (
     mandatory_set,
     mandatory_set_cells,
     orientation_state,
+    probability_matrix,
     sample_realization,
 )
+from orientlab.harness import BENCHMARKS
 from test_model import uniform_vertex, vertex
 
 
@@ -233,3 +237,63 @@ class TestEstimation:
         )
         with pytest.raises(ValueError, match="sample_count"):
             bad.validate(fork)
+
+
+# ---------------------------------------------------------------------------
+# Exact probabilities against a rational-arithmetic reference
+
+
+def _mass_in_fraction(pmf, window):
+    """P[w in window] as a Fraction: the reference for ``Pmf.mass_ratio``."""
+    total = Fraction(0)
+    for c in pmf.cells:
+        lo, hi = max(c.cell.lo, window.lo), min(c.cell.hi, window.hi)
+        if lo < hi:
+            width = Fraction(c.cell.hi) - Fraction(c.cell.lo)
+            total += Fraction(c.mass) * (Fraction(hi) - Fraction(lo)) / width
+    return total
+
+
+def _exact_prob_graph_fraction(instance):
+    probs = {}
+    for v in instance.vertices:
+        miss = Fraction(1)
+        for u in instance.graph_neighbors[v.id]:
+            miss *= 1 - _mass_in_fraction(instance.by_id[u].pmf, v.interval)
+        probs[v.id] = float(1 - miss)
+    return probs
+
+
+def _probability_matrix_fraction(instance):
+    grid = elementary_grid(instance)
+    rows = {}
+    for v in instance.vertices:
+        cells = [(i, Interval(grid[i], grid[i + 1])) for i in range(len(grid) - 1)]
+        masses = [(i, float(_mass_in_fraction(v.pmf, c))) for i, c in cells if v.interval.covers(c)]
+        rows[v.id] = [(i, m) for i, m in masses if m > 0.0]
+    return rows
+
+
+def _exact_cases():
+    cases = [gen_benchmark(name) for name in sorted(BENCHMARKS)]
+    rng = np.random.default_rng(505)
+    for unit_cost in (True, False):
+        for _ in range(12):
+            n = int(rng.integers(4, 17))
+            cases.append(gen_random("gnp", rng, n=n, p=float(rng.uniform(0.2, 0.5)), unit_cost=unit_cost))
+            nl, nr = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            cases.append(gen_random("bipartite", rng, nl=nl, nr=nr, p=0.45, unit_cost=unit_cost))
+            cases.append(gen_random("hypergraph", rng, n=n, m=5, unit_cost=unit_cost))
+    return cases
+
+
+@pytest.mark.parametrize("instance", _exact_cases())
+def test_integer_ratios_equal_rational_reference(instance):
+    for v in instance.vertices:
+        for u in instance.vertices:
+            num, den = v.pmf.mass_ratio(u.interval)
+            assert Fraction(num, den) == _mass_in_fraction(v.pmf, u.interval)
+            assert v.pmf.mass_in(u.interval) == float(Fraction(num, den))
+    assert probability_matrix(instance) == _probability_matrix_fraction(instance)
+    if instance.kind == "graph":
+        assert exact_prob_graph(instance).probs == _exact_prob_graph_fraction(instance)

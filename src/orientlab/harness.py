@@ -87,7 +87,7 @@ _PLAN_TAG = 0xFFFF0001
 _BOOT_TAG = 0xFFFF0002
 _BLOCK = 4096
 _KERNEL_ROWS = 512
-_BOOT_CELLS = 1 << 14  # bootstrap gather buffer: 128 KiB of float64
+_BOOT_CELLS = 1 << 16  # bootstrap gather buffer: 512 KiB of float64
 
 
 class _BlockSampler:
@@ -984,11 +984,12 @@ def _query_sets(policy: Policy, batch: _PairedBatch) -> tuple[np.ndarray, np.nda
         return batch.patterns | batch.mask(policy.stage1), batch.pattern
     if spec.kind == "two-stage-prefix":
         queried = _two_stage_prefix(instance, spec.k or 0, weights)
-    elif spec.kind == "leaves-first":
-        queried = completion_matrix(instance, weights, _leaves_first_stage1(instance, weights))
     else:
-        start = np.broadcast_to(batch.mask(policy.stage1), weights.shape)
-        queried = completion_matrix(instance, weights, start)
+        if spec.kind == "leaves-first":
+            start = _leaves_first_stage1(instance, weights)
+        else:
+            start = np.broadcast_to(batch.mask(policy.stage1), weights.shape)
+        queried = completion_matrix(instance, weights, start, batch.patterns[batch.pattern])
     index, first = _number_rows(queried)
     return queried[first], index
 

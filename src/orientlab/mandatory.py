@@ -315,57 +315,70 @@ def _edge_step(
     members with lo < w*; the hyperedge is solved when there is none, or
     when some candidate x has hi_x <= w* and hi_x <= lo_u for every other
     unqueried u; otherwise the next query is the first candidate in key
-    order.
+    order.  The running minima and the first candidate come from loops
+    over the k members on rows of length R: an argmin or argmax along the
+    member axis is strided and slow.
     """
     w_star = np.where(q, w, np.inf).min(axis=0)
-    candidate = ~q & (lo < w_star)
-    free_lo = np.where(q, np.inf, lo)
-    # lowest lo among the other unqueried members: the second lowest for
-    # the member holding the lowest, the lowest for every other member
-    rows = np.arange(q.shape[1])
-    first = free_lo.argmin(axis=0)
-    lowest = free_lo[first, rows]
-    free_lo[first, rows] = np.inf
-    other_lo = np.where(
-        np.arange(len(q))[:, None] == first, free_lo.min(axis=0), lowest
-    )
+    free_lo = np.where(q, np.inf, lo)  # lo of the unqueried members
+    candidate = free_lo < w_star
+    # lowest lo among the other unqueried members: the lower of the running
+    # minima before and after each member
+    other_lo = np.empty_like(free_lo)
+    after = np.full(q.shape[1], np.inf)
+    pick = np.full(q.shape[1], -1, dtype=np.intp)
+    for p in reversed(range(len(q))):
+        other_lo[p] = after
+        after = np.minimum(after, free_lo[p])
+        pick[candidate[p]] = p  # the last write is the first candidate
+    before = np.full(q.shape[1], np.inf)
+    for p in range(len(q)):
+        np.minimum(other_lo[p], before, out=other_lo[p])
+        before = np.minimum(before, free_lo[p])
     certain = candidate & (hi <= w_star) & (hi <= other_lo)
-    solved = certain.any(axis=0) | ~candidate.any(axis=0)
-    return w_star, np.where(solved, -1, candidate.argmax(axis=0))
+    pick[certain.any(axis=0)] = -1
+    return w_star, pick
 
 
 def completion_matrix(
-    instance: Instance, weights: np.ndarray, queried: np.ndarray
+    instance: Instance, weights: np.ndarray, queried: np.ndarray, mandatory: np.ndarray
 ) -> np.ndarray:
-    """The adaptive completion of every row: N x n weights and the query
-    masks it starts from in, the final query masks out.
+    """The adaptive completion of every row of a reduced instance: N x n
+    weights, the query masks it starts from and the mandatory masks
+    (:func:`mandatory_matrix`) in, the final query masks out.
 
-    Reproduces ``algorithms._mandatory_completion`` row by row.  That
-    loop keeps the unsolved hyperedges in a deque and appends each one
-    it advances behind the others, so it visits them in rounds: each
-    round takes the hyperedges still pending in increasing index order,
-    and a query made for one hyperedge is seen by every later visit in
-    the same round.  Here the rounds and the hyperedges are a Python
-    loop, and each visit is :func:`_edge_step` on the rows still pending
-    on that hyperedge.
+    ``algorithms._mandatory_completion`` visits the unsolved hyperedges in
+    rounds, each in index order.  If its first round from a set S queries
+    R1, the whole run queries R1 | M, M the mandatory set.  So here each
+    hyperedge gets one :func:`_edge_step` visit, in index order on all
+    rows, and M is OR-ed in.  Below, l is a hyperedge's leftmost member,
+    m its minimum and w* its least revealed weight.
+
+    R1 covers the cover graph (edges from l to the members overlapping
+    I_l): each visit leaves l queried or no other unqueried member
+    overlapping I_l, and queries only add.  A revealed w_x has
+    lo_l <= lo_x < w_x, so an unqueried l is the first candidate: "open"
+    queries l, "no candidate" means l is queried, "certain x" with x != l
+    would need hi_x <= lo_l <= lo_x < hi_x, and "certain l" means no
+    other unqueried member overlaps I_l.
+
+    From a cover every pick v is mandatory (see the module docstring),
+    since on a reduced instance every u != l has lo_l <= lo_u < hi_l < hi_u.
+    With l unqueried, all other members are queried, v = l and, l not
+    being certain, w* < hi_l: l is m and another weight w* lies in I_l,
+    or w_m = w* lies in I_l.  With l queried, lo_v < w* <= w_l < hi_l <
+    hi_v: v is m and another weight w* lies in I_v, or w_m lies in I_v,
+    as w_m <= w* and m is queried (w_m = w*) or a later candidate
+    (lo_v <= lo_m < w_m).  The run ends on a feasible set, which holds M,
+    so from R1 it adds exactly the mandatory vertices outside R1.
     """
     weights_t = np.ascontiguousarray(weights.T)
     out_t = np.array(queried.T, dtype=bool, order="C")
-    edges = _hyperedge_columns(instance)
-    everyone = np.arange(weights_t.shape[1])
-    pending = [everyone] * len(edges)  # rows still pending on each hyperedge
-    while any(len(rows) for rows in pending):
-        for e, (cols, lo, hi) in enumerate(edges):
-            rows = pending[e]
-            if not len(rows):
-                continue
-            at = np.ix_(cols, rows)
-            _, pick = _edge_step(weights_t[at], out_t[at], lo, hi)
-            advance = pick >= 0
-            rows = rows[advance]
-            out_t[cols[pick[advance]], rows] = True
-            pending[e] = rows
-    return out_t.T
+    for cols, lo, hi in _hyperedge_columns(instance):
+        _, pick = _edge_step(weights_t[cols], out_t[cols], lo, hi)
+        for p, j in enumerate(cols.tolist()):
+            out_t[j] |= pick == p
+    return out_t.T | mandatory
 
 
 def orientation_state(

@@ -72,6 +72,25 @@ class TestRun:
             assert abs(float(row["mean_opt"]) - 1.51) < 0.03
         assert lines[1].split(",")[1].startswith("threshold")
 
+    def test_readme_run_commands_print_pinned_bytes(self, tmp_path, capsys):
+        """The three ``orientlab run`` commands of the README print the
+        bytes stored in ``data/readme_run.csv``.  A change that alters a
+        sampling stream on purpose updates that file and says so."""
+        path = tmp_path / "fork.json"
+        run_main(["generate", "fork", "--eps", "0.01", "-o", str(path)], capsys)
+        commands = [
+            ["--instance", str(path)],
+            ["--gen", "overlap-pair", "--p", "0.41421356", "--q", "0.41421356", "-a", "bestvc"],
+            ["--gen", "fork", "--eps", "0.001", "-a", "threshold", "--alpha", "1", "--d", "auto",
+             "-a", "baseline"],
+        ]
+        printed = ""
+        for source in commands:
+            code, out, _ = run_main(["run", *source, "--samples", "100000", "--seed", "7"], capsys)
+            assert code == 0
+            printed += out
+        assert printed.encode() == (Path(__file__).parent / "data" / "readme_run.csv").read_bytes()
+
     def test_seed_makes_output_byte_identical(self, capsys):
         args = [
             "run", "--gen", "overlap-pair", "--p", "0.3", "--q", "0.5",

@@ -18,12 +18,17 @@ from hypothesis import strategies as st
 
 from orientlab import (
     AlgorithmSpec,
+    Interval,
     OfflineOracle,
+    Pmf,
+    PmfCell,
+    UncertainVertex,
     build_cover_graph,
     elementary_grid,
     gen_benchmark,
     gen_random,
     is_feasible,
+    make_instance,
     mandatory_set,
     mandatory_set_cells,
     run_fixed_cover,
@@ -39,7 +44,13 @@ from orientlab.harness import (
     _PairedBatch,
     _plan,
 )
-from orientlab.mandatory import completion_matrix, feasible_matrix, mandatory_matrix
+from orientlab.mandatory import (
+    _edge_state,
+    _edge_step,
+    completion_matrix,
+    feasible_matrix,
+    mandatory_matrix,
+)
 
 N = 150
 SEED = 11
@@ -183,9 +194,16 @@ def test_two_stage_prefix_matches_scalar_reference(k):
             assert _members(instance, rows[i]) == set(expect), i
 
 
+FAMILY_PARAMS = {
+    "gnp": {"n": 7, "p": 0.5},
+    "bipartite": {"nl": 4, "nr": 3},
+    "hypergraph": {"n": 7, "m": 3},
+}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    family=st.sampled_from(["gnp", "hypergraph"]),
+    family=st.sampled_from(["gnp", "bipartite", "hypergraph"]),
     seed=st.integers(0, 2**32 - 1),
     unit_cost=st.booleans(),
     share=st.floats(0.0, 1.0),
@@ -194,16 +212,72 @@ def test_completion_matrix_property(family, seed, unit_cost, share):
     """Random small instance, random stage-1 subset: every kernel row is
     the scalar transcript's query set."""
     rng = np.random.default_rng(seed)
-    params = {"n": 7, "p": 0.5} if family == "gnp" else {"n": 7, "m": 3}
-    instance = gen_random(family, rng, unit_cost=unit_cost, **params)
+    instance = gen_random(family, rng, unit_cost=unit_cost, **FAMILY_PARAMS[family])
     stage1 = tuple(v for v in instance.vertex_ids if rng.random() < share)
     sampler = _BlockSampler(instance, seed)
     weights = sampler.weights(0, 40)
     start = np.array([[v in stage1 for v in instance.vertex_ids]] * len(weights))
-    rows = completion_matrix(instance, weights, start)
+    rows = completion_matrix(instance, weights, start, mandatory_matrix(instance, weights))
     for i in range(len(weights)):
         out = run_fixed_cover(instance, stage1, sampler.realization(i))
         assert _members(instance, rows[i]) == out.transcript.queried, i
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["gnp", "bipartite", "hypergraph"]),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+def test_first_round_covers_cover_graph(family, seed, share):
+    """With no mandatory rows OR-ed in, ``completion_matrix`` returns the
+    first round of the completion; from an empty or a random start per
+    row, it covers every edge of the cover graph on every row."""
+    rng = np.random.default_rng(seed)
+    instance = gen_random(family, rng, **FAMILY_PARAMS[family])
+    weights = _BlockSampler(instance, seed).weights(0, 40)
+    start = rng.random(weights.shape) < share
+    first = completion_matrix(instance, weights, start, np.zeros_like(start))
+    assert (first >= start).all()
+    column = {v: j for j, v in enumerate(instance.vertex_ids)}
+    for a, b in build_cover_graph(instance).edges:
+        assert (first[:, column[a]] | first[:, column[b]]).all(), (a, b)
+
+
+def _uniform_vertex(vid, lo, hi):
+    interval = Interval(float(lo), float(hi))
+    return UncertainVertex(vid, 1.0, interval, Pmf((PmfCell(interval, 1.0),)))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_edge_step_matches_edge_state(k):
+    """``_edge_step`` on every row against the scalar ``_edge_state``.
+    Lower ends are drawn from {0, 1, 2}, so members tie on lo (and on the
+    whole key but the id), and weights from a quarter grid, so w* can
+    equal another member's end.  Row 0 has every member queried, row 1
+    none, the rest random masks."""
+    rng = np.random.default_rng(k)
+    rows = 30
+    for _ in range(40):
+        ends = [(lo, lo + width) for lo, width in zip(rng.integers(0, 3, k), rng.integers(1, 4, k))]
+        names = rng.permutation(k)
+        instance = make_instance(
+            [_uniform_vertex(f"u{name}", lo, hi) for name, (lo, hi) in zip(names, ends)], []
+        )
+        members = sorted(instance.vertex_ids, key=lambda u: instance.by_id[u].key)
+        lo = np.array([[instance.interval(u).lo] for u in members])
+        hi = np.array([[instance.interval(u).hi] for u in members])
+        w = lo + rng.integers(1, 4 * (hi - lo), size=(k, rows)) / 4
+        q = rng.random((k, rows)) < rng.random()
+        q[:, 0], q[:, 1] = True, False
+        w_star, pick = _edge_step(w, q, lo, hi)
+        assert pick.dtype == np.intp
+        for r in range(rows):
+            revealed = {u: w[p, r] for p, u in enumerate(members) if q[p, r]}
+            status, vid = _edge_state(instance, members, revealed)
+            expect = -1 if status == "solved" else members.index(vid)
+            assert pick[r] == expect, (members, revealed)
+            assert w_star[r] == min(revealed.values(), default=math.inf)
 
 
 @pytest.mark.parametrize("instance", [c for _, c in CASES], ids=IDS)

@@ -115,7 +115,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         n_samples=args.samples,
         master_seed=args.seed,
         instance_id=instance_id,
-        workers=args.threads,
         vc_bound=args.vc_bound,
     )
     rows = [csv_header()]

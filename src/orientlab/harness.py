@@ -96,7 +96,7 @@ class _BlockSampler:
     Realization i is a pure function of (master_seed, i): uniforms come
     from the counter-based stream keyed [master_seed, i // block] and the
     row i % block of a vectorized block, so results do not depend on how
-    indices are split across workers.  Vertex j takes its cell from
+    indices are split into row ranges.  Vertex j takes its cell from
     uniform 2j and its position in the cell from uniform 2j + 1.  Exact
     cell-endpoint hits fall back to a per-index stream and redraw.
     """
@@ -892,8 +892,11 @@ class _PairedBatch:
     def __init__(self, instance: Instance, master_seed: int, n_samples: int, vc_bound: int):
         self.instance = instance
         self.weights = _BlockSampler(instance, master_seed).weights(0, n_samples)
+        # the kernel holds a few (hyperedge size) x (hyperedges) x (rows)
+        # temporaries; short row blocks keep them small
+        blocks = range(0, n_samples, _KERNEL_ROWS)
         mandatory = np.concatenate(
-            [mandatory_matrix(instance, w) for w in self._blocks(self.weights)]
+            [mandatory_matrix(instance, self.weights[a : a + _KERNEL_ROWS]) for a in blocks]
         )
         self.pattern, first = _number_rows(mandatory)  # realization -> pattern
         self.patterns = mandatory[first]  # pattern -> mandatory mask
@@ -906,12 +909,6 @@ class _PairedBatch:
         self.optimal = np.array(optimal)  # pattern -> optimal query mask
         self._scored: list[tuple[np.ndarray, np.ndarray, str]] = []
         self.opt = self.score(self.optimal, self.pattern, "offline optimum is not feasible")
-
-    @staticmethod
-    def _blocks(rows: np.ndarray) -> list[np.ndarray]:
-        # the kernels hold a few (hyperedge size) x (hyperedges) x (rows)
-        # temporaries; short row blocks keep them small
-        return [rows[a : a + _KERNEL_ROWS] for a in range(0, len(rows), _KERNEL_ROWS)]
 
     def mask(self, members: Iterable[str]) -> np.ndarray:
         chosen = set(members)
@@ -1045,23 +1042,27 @@ def _bootstrap_ci(
     blocks are resampled, which preserves the iid bootstrap distribution
     of the ratio while keeping the cost at resamples x blocks.  The
     resamples depend only on the seed and the sample count, so one index
-    draw and one set of OPT resample sums serve every algorithm, and each
-    interval is the one that algorithm would get alone.
+    stream and one set of OPT resample sums serve every algorithm, and
+    each interval is the one that algorithm would get alone.  The indices
+    are drawn 64 or more resamples at a time (numpy's bounded int32 draw
+    buffers nothing between calls), so memory does not grow with
+    resamples x blocks.
     """
     rng = np.random.default_rng([master_seed, _BOOT_TAG])
     blocks = min(len(opt), 1000)
     sums = np.stack([_block_sums(x, blocks) for x in (opt, *algs)])
-    # int32 draws the same values from the stream as the default int64
-    idx = rng.integers(0, blocks, size=(resamples, blocks), dtype=np.int32)
     # Gather and sum a few resamples at a time into one reused buffer: each
     # resample sum is still one contiguous row sum, and no call faults in
     # megabytes of fresh pages.  The indices are in range, so mode="clip"
     # changes no value; it spares np.take a buffered copy of ``out``.
     step = max(1, _BOOT_CELLS // (blocks * len(sums)))
+    draw = step * -(-64 // step)  # resamples per index draw, a multiple of step
     gathered = np.empty((len(sums), min(step, resamples), blocks))
     totals = np.empty((len(sums), resamples))
     for a in range(0, resamples, step):
-        rows = idx[a : a + step]
+        if a % draw == 0:  # int32 draws the same values as the default int64
+            idx = rng.integers(0, blocks, size=(min(draw, resamples - a), blocks), dtype=np.int32)
+        rows = idx[a % draw : a % draw + step]
         part = gathered[:, : len(rows)]
         np.take(sums, rows, axis=1, out=part, mode="clip")
         part.sum(axis=2, out=totals[:, a : a + len(rows)])
@@ -1076,7 +1077,6 @@ def evaluate_all(
     n_samples: int,
     master_seed: int,
     instance_id: str = "instance",
-    workers: int = 1,
     vc_bound: int = 24,
 ) -> list[EvaluationReport | SolverBoundError]:
     """Paired Monte-Carlo estimates of E[algorithm] / E[optimum] for
@@ -1084,15 +1084,14 @@ def evaluate_all(
 
     Realization i comes from the stream (master_seed, i), and every
     policy is scored from batched query masks, so reports depend only on
-    the seed (wall_ms aside); ``workers`` is accepted and changes
-    nothing.  Every spec is planned first, so a spec that cannot run
-    fails before anything is sampled; then the realizations are sampled
-    and the optimum solved once for all specs, every spec is scored, one
-    pass checks every query set for feasibility on every realization, and
-    one bootstrap draw gives every spec its CI.  A report's wall_ms is
-    its own plan and scoring plus an equal share of the bootstrap; the
-    first report's also includes the shared profile, sample and
-    feasibility pass.  A spec
+    the seed (wall_ms aside).  Every spec is planned first, so a spec
+    that cannot run fails before anything is sampled; then the
+    realizations are sampled and the optimum solved once for all specs,
+    every spec is scored, one pass checks every query set for
+    feasibility on every realization, and one bootstrap index stream
+    gives every spec its CI.  A report's wall_ms is its own plan and
+    scoring plus an equal share of the bootstrap; the first report's also
+    includes the shared profile, sample and feasibility pass.  A spec
     whose planning, or the optimum, exceeds a solver bound gets the
     SolverBoundError in place of its report.
     """
@@ -1169,13 +1168,12 @@ def evaluate(
     n_samples: int,
     master_seed: int,
     instance_id: str = "instance",
-    workers: int = 1,
     vc_bound: int = 24,
 ) -> EvaluationReport:
     """Paired Monte-Carlo estimate of E[algorithm] / E[optimum]: the
     one-spec case of :func:`evaluate_all`, raising its solver bound."""
     (result,) = _raise_bounds(
-        evaluate_all(instance, [spec], n_samples, master_seed, instance_id, workers, vc_bound)
+        evaluate_all(instance, [spec], n_samples, master_seed, instance_id, vc_bound)
     )
     return result
 

@@ -32,6 +32,8 @@ __all__ = [
     "hoeffding_sample_count",
 ]
 
+_PLAN_ROWS = 4096  # planning row block: 512-row blocks take about 3x as long
+
 
 @dataclass(frozen=True)
 class MandatoryProfile:
@@ -424,23 +426,27 @@ def hoeffding_sample_count(epsilon: float, delta: float) -> int:
 def _sample_mandatory_cells(
     instance: Instance, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Mandatory matrix of ``count`` sampled joint elementary-cell
-    assignments (one row each).
+    """Per-vertex mandatory counts over ``count`` sampled joint
+    elementary-cell assignments.
 
     Each weight sits at its cell's midpoint; inside a cell the mandatory
     set does not depend on the position (see :func:`mandatory_set_cells`).
+    The rows run through :func:`mandatory_matrix` in row blocks, so memory
+    beyond the count x n weights does not grow with ``count``.
     """
     matrix = probability_matrix(instance)
-    cells = np.empty((count, len(instance.vertices)), dtype=np.int64)
+    grid = np.array(elementary_grid(instance))
+    mid = (grid[:-1] + grid[1:]) / 2.0
+    weights = np.empty((count, len(instance.vertices)))
     for j, vid in enumerate(instance.vertex_ids):
         row = matrix[vid]
         idx = np.array([i for i, _ in row], dtype=np.int64)
         cum = np.cumsum([p for _, p in row])
         cum[-1] = 1.0 + 1e-12  # guard against mass rounding below 1
         u = rng.random(count)
-        cells[:, j] = idx[np.searchsorted(cum, u, side="right")]
-    grid = np.array(elementary_grid(instance))
-    return mandatory_matrix(instance, (grid[cells] + grid[cells + 1]) / 2.0)
+        weights[:, j] = mid[idx[np.searchsorted(cum, u, side="right")]]
+    blocks = range(0, count, _PLAN_ROWS)
+    return sum(mandatory_matrix(instance, weights[a : a + _PLAN_ROWS]).sum(axis=0) for a in blocks)
 
 
 def estimate_prob(
@@ -458,7 +464,7 @@ def estimate_prob(
     """
     k = hoeffding_sample_count(epsilon, delta)
     column = instance.vertex_ids.index(vid)
-    return int(_sample_mandatory_cells(instance, k, rng)[:, column].sum()) / k
+    return int(_sample_mandatory_cells(instance, k, rng)[column]) / k
 
 
 def estimate_profile(
@@ -474,7 +480,7 @@ def estimate_profile(
     correlated across vertices.
     """
     k = hoeffding_sample_count(epsilon, delta)
-    counts = _sample_mandatory_cells(instance, k, rng).sum(axis=0)
+    counts = _sample_mandatory_cells(instance, k, rng)
     probs = {vid: int(c) / k for vid, c in zip(instance.vertex_ids, counts)}
     return MandatoryProfile(
         probs, method="sampled", epsilon=epsilon, delta=delta, sample_count=k

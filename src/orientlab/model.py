@@ -164,7 +164,7 @@ class Instance:
 
     Vertices are sorted by id; each hyperedge is ordered by the leftmost
     key, so ``hyperedge[0]`` is its leftmost vertex.  Instances are
-    immutable and safe to share across workers.
+    immutable and safe to share between evaluations.
     """
 
     vertices: tuple[UncertainVertex, ...]

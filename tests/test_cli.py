@@ -91,6 +91,27 @@ class TestRun:
             printed += out
         assert printed.encode() == (Path(__file__).parent / "data" / "readme_run.csv").read_bytes()
 
+    def test_sampled_planning_and_odd_block_runs_print_pinned_bytes(self, tmp_path, capsys):
+        """Two more ``run`` commands pinned to bytes made by an earlier
+        commit: sampled planning on a weighted hypergraph with a 4-row
+        bootstrap, and a weighted gnp whose 777 bootstrap blocks divide
+        no gather or draw chunk."""
+        data = Path(__file__).parent / "data"
+        hyper = gen_random("hypergraph", 11, n=12, m=5, max_size=4, unit_cost=False)
+        cases = [
+            ("hyper", hyper, "hyper_sampled_run.csv",
+             ["-a", "threshold-hyper", "-a", "bestvc", "-a", "baseline", "--eps", "0.02",
+              "--samples", "4000"]),
+            ("gnp", gen_random("gnp", 5, n=16, p=0.3, unit_cost=False), "gnp_777_run.csv",
+             ["--samples", "777"]),
+        ]
+        for stem, instance, pinned, args in cases:
+            path = tmp_path / f"{stem}.json"
+            path.write_text(serialize_instance(instance))
+            code, out, _ = run_main(["run", "--instance", str(path), *args, "--seed", "7"], capsys)
+            assert code == 0
+            assert out.encode() == (data / pinned).read_bytes()
+
     def test_seed_makes_output_byte_identical(self, capsys):
         args = [
             "run", "--gen", "overlap-pair", "--p", "0.3", "--q", "0.5",
@@ -169,6 +190,21 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert '"vertices"' in proc.stdout
+
+
+def test_python_m_orientlab_prints_cli_main_bytes(capsys):
+    import orientlab
+
+    env = dict(os.environ)
+    src = str(Path(orientlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["run", "--gen", "fork", "--eps", "0.01", "--samples", "500", "--seed", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "orientlab", *argv], capture_output=True, env=env, timeout=120
+    )
+    code, out, _ = run_main(argv, capsys)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
 
 
 def test_check_failure_exit_code(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -227,15 +228,6 @@ class TestEvaluate:
         assert rep1.mean_opt == rep2.mean_opt
         assert rep1.ci95_ratio == rep2.ci95_ratio
 
-    def test_worker_count_does_not_change_results(self):
-        inst = gen_benchmark("fork", eps=0.01)
-        spec = AlgorithmSpec("threshold", alpha=1.0)
-        rep1 = evaluate(inst, spec, 600, 11, "fork", workers=1)
-        rep2 = evaluate(inst, spec, 600, 11, "fork", workers=2)
-        assert rep1.mean_alg == rep2.mean_alg
-        assert rep1.mean_opt == rep2.mean_opt
-        assert rep1.ci95_ratio == rep2.ci95_ratio
-
     def test_mean_opt_converges_to_exact(self):
         for name, kwargs in (("fork", {"eps": 0.1}), ("overlap-pair", {"p": 0.3, "q": 0.6})):
             inst = gen_benchmark(name, **kwargs)
@@ -340,6 +332,36 @@ class TestEvaluate:
                 ratios = alg_sums[idx].sum(axis=1) / opt_sums[idx].sum(axis=1)
                 expect.append((float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5))))
             assert _bootstrap_ci(algs, opt, n) == expect
+
+    @pytest.mark.parametrize("chunk", [1, 16, 64, 333, 1000])
+    @pytest.mark.parametrize("blocks", [1, 2, 7, 400, 999, 1000])
+    def test_chunked_int32_draws_equal_one_shot(self, blocks, chunk):
+        # _bootstrap_ci draws its resample indices chunk by chunk; that is
+        # the one-shot stream only while numpy buffers nothing between
+        # bounded 32-bit draws
+        one_shot = np.random.default_rng([blocks, _BOOT_TAG]).integers(
+            0, blocks, size=(1000, blocks), dtype=np.int32
+        )
+        rng = np.random.default_rng([blocks, _BOOT_TAG])
+        parts = [
+            rng.integers(0, blocks, size=(min(chunk, 1000 - a), blocks), dtype=np.int32)
+            for a in range(0, 1000, chunk)
+        ]
+        assert np.array_equal(np.concatenate(parts), one_shot)
+
+    def test_bootstrap_memory_does_not_grow_with_resamples_times_blocks(self):
+        # 1000 resamples x 1000 blocks of int32 indices alone are 3.8 MiB
+        rng = np.random.default_rng(4)
+        opt = rng.random(2000) + 0.5
+        algs = [opt * (1.0 + rng.random(2000)) for _ in range(3)]
+        _bootstrap_ci(algs, opt, 4)
+        tracemalloc.start()
+        try:
+            _bootstrap_ci(algs, opt, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     @pytest.mark.parametrize(
         "inst, specs",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from orientlab import (
     sample_realization,
 )
 from orientlab.harness import BENCHMARKS
+from orientlab.mandatory import _sample_mandatory_cells, mandatory_matrix
 from test_model import uniform_vertex, vertex
 
 
@@ -237,6 +239,64 @@ class TestEstimation:
         )
         with pytest.raises(ValueError, match="sample_count"):
             bad.validate(fork)
+
+
+# ---------------------------------------------------------------------------
+# Sampled planning against the one-shot formula
+
+
+def _mandatory_cells_reference(instance, count, rng):
+    """The mandatory matrix of ``count`` sampled cell assignments, built in
+    one shot: a matrix of cell indices, then weights at the midpoints
+    (grid[c] + grid[c + 1]) / 2 through one :func:`mandatory_matrix` call."""
+    matrix = probability_matrix(instance)
+    cells = np.empty((count, len(instance.vertices)), dtype=np.int64)
+    for j, vid in enumerate(instance.vertex_ids):
+        row = matrix[vid]
+        idx = np.array([i for i, _ in row], dtype=np.int64)
+        cum = np.cumsum([p for _, p in row])
+        cum[-1] = 1.0 + 1e-12
+        cells[:, j] = idx[np.searchsorted(cum, rng.random(count), side="right")]
+    grid = np.array(elementary_grid(instance))
+    return mandatory_matrix(instance, (grid[cells] + grid[cells + 1]) / 2.0)
+
+
+def _sampled_cases():
+    cases = [gen_benchmark(name) for name in sorted(BENCHMARKS)]
+    rng = np.random.default_rng(606)
+    for unit_cost in (True, False):
+        for _ in range(3):
+            n = int(rng.integers(5, 13))
+            cases.append(gen_random("hypergraph", rng, n=n, m=5, max_size=4, unit_cost=unit_cost))
+    return cases
+
+
+@pytest.mark.parametrize("instance", _sampled_cases())
+def test_sampled_planning_matches_one_shot_reference(instance):
+    for count in (4095, 4096, 4097, 6792):
+        got = _sample_mandatory_cells(instance, count, np.random.default_rng(count))
+        expect = _mandatory_cells_reference(instance, count, np.random.default_rng(count))
+        assert np.array_equal(got, expect.sum(axis=0))
+    k = hoeffding_sample_count(0.02, 0.01)  # 6623 rows: two blocks
+    expect = _mandatory_cells_reference(instance, k, np.random.default_rng(3)).sum(axis=0)
+    profile = estimate_profile(instance, 0.02, 0.01, np.random.default_rng(3))
+    assert profile.probs == {v: int(c) / k for v, c in zip(instance.vertex_ids, expect)}
+    last = instance.vertex_ids[-1]
+    assert estimate_prob(instance, last, 0.02, 0.01, np.random.default_rng(3)) == int(expect[-1]) / k
+
+
+def test_estimate_profile_memory_does_not_grow_with_the_sample_count():
+    instance = gen_random("hypergraph", 12, n=12, m=5, max_size=4, unit_cost=False)
+    k = hoeffding_sample_count(0.005, 0.01)  # 105,967 rows
+    weights_bytes = k * len(instance.vertices) * 8
+    estimate_profile(instance, 0.05, 0.1, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        estimate_profile(instance, 0.005, 0.01, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < weights_bytes + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .mandatory import (
     MandatoryProfile,
     _edge_step,
     _hyperedge_columns,
+    _kernel_rows,
     completion_matrix,
     exact_prob_graph,
     feasible_matrix,
@@ -45,9 +46,7 @@ from .model import (
     PmfCell,
     Realization,
     UncertainVertex,
-    elementary_grid,
     make_instance,
-    probability_matrix,
     reduce_instance,
 )
 from .vcover import (
@@ -86,7 +85,6 @@ __all__ = [
 _PLAN_TAG = 0xFFFF0001
 _BOOT_TAG = 0xFFFF0002
 _BLOCK = 4096
-_KERNEL_ROWS = 512
 _BOOT_CELLS = 1 << 16  # bootstrap gather buffer: 512 KiB of float64
 
 
@@ -485,7 +483,7 @@ def gen_random(
 
 
 def _cell_rows(instance: Instance, max_combos: int) -> list[tuple[str, list[tuple[int, float]]]]:
-    matrix = probability_matrix(instance)
+    matrix = instance.cell_table[0]
     rows = [(vid, matrix[vid]) for vid in instance.vertex_ids]
     combos = 1
     for _, row in rows:
@@ -505,7 +503,7 @@ def enumerate_cell_realizations(
     by the cell assignment alone, so averaging any cost over these
     representatives is exact.
     """
-    grid = elementary_grid(instance)
+    grid = instance.cell_table[1]
     rows = _cell_rows(instance, max_combos)
     ids = [vid for vid, _ in rows]
     offsets = {vid: (j + 1.0) / (len(ids) + 1.0) for j, vid in enumerate(ids)}
@@ -522,7 +520,7 @@ def enumerate_cell_realizations(
 
 def exact_expected_opt(instance: Instance, max_combos: int = 10**6) -> float:
     """Expected optimal query cost by enumerating joint cell assignments."""
-    grid = elementary_grid(instance)
+    grid = instance.cell_table[1]
     cover_graph = build_cover_graph(instance)
     costs = instance.costs
     memo: dict[frozenset[str], float] = {}
@@ -871,11 +869,15 @@ def _plan(
 def _number_rows(masks: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Number the distinct rows of a boolean matrix in order of first
     occurrence: the number of every row, and the first row of each."""
-    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-    number: dict[bytes, int] = {}
-    index = np.array([number.setdefault(key, len(number)) for key in keys], dtype=np.intp)
-    return index, np.unique(index, return_index=True)[1].tolist()
+    packed = np.packbits(masks, axis=1)
+    words = np.zeros((len(masks), -(-packed.shape[1] // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, : packed.shape[1]] = packed  # 64 columns per word
+    order = np.lexsort(words.T)  # stable, so equal rows keep their order
+    starts = np.r_[True, (words[order[1:]] != words[order[:-1]]).any(axis=1)]
+    first = order[starts]
+    index = np.empty(len(masks), dtype=np.intp)
+    index[order] = np.argsort(np.argsort(first))[np.cumsum(starts) - 1]
+    return index, np.sort(first).tolist()
 
 
 class _PairedBatch:
@@ -892,11 +894,10 @@ class _PairedBatch:
     def __init__(self, instance: Instance, master_seed: int, n_samples: int, vc_bound: int):
         self.instance = instance
         self.weights = _BlockSampler(instance, master_seed).weights(0, n_samples)
-        # the kernel holds a few (hyperedge size) x (hyperedges) x (rows)
-        # temporaries; short row blocks keep them small
-        blocks = range(0, n_samples, _KERNEL_ROWS)
+        self.rows = _kernel_rows(instance)
+        blocks = range(0, n_samples, self.rows)
         mandatory = np.concatenate(
-            [mandatory_matrix(instance, self.weights[a : a + _KERNEL_ROWS]) for a in blocks]
+            [mandatory_matrix(instance, self.weights[a : a + self.rows]) for a in blocks]
         )
         self.pattern, first = _number_rows(mandatory)  # realization -> pattern
         self.patterns = mandatory[first]  # pattern -> mandatory mask
@@ -928,8 +929,8 @@ class _PairedBatch:
         :func:`feasible_matrix` call per row block.  Raises the message of
         the first set, in scoring order, that fails somewhere."""
         feasible = np.ones(len(self._scored), dtype=bool)
-        for a in range(0, len(self.weights), _KERNEL_ROWS):
-            rows = slice(a, a + _KERNEL_ROWS)
+        for a in range(0, len(self.weights), self.rows):
+            rows = slice(a, a + self.rows)
             stack = np.stack([sets[index[rows]] for sets, index, _ in self._scored])
             feasible &= feasible_matrix(self.instance, self.weights[rows], stack).all(axis=1)
         for ok, (_, _, infeasible) in zip(feasible.tolist(), self._scored):

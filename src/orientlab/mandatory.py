@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import Instance, Realization, elementary_grid, probability_matrix
+from .model import Instance, Realization, elementary_grid
 
 __all__ = [
     "MandatoryProfile",
@@ -32,7 +32,16 @@ __all__ = [
     "hoeffding_sample_count",
 ]
 
-_PLAN_ROWS = 4096  # planning row block: 512-row blocks take about 3x as long
+# planning's row block: on 5-hyperedge hypergraphs, _kernel_rows blocks
+# (about 2,300 rows) ran 4-13% slower and 512-row blocks about 3x as long
+_PLAN_ROWS = 4096
+
+
+def _kernel_rows(instance: Instance) -> int:
+    """Row block of :func:`mandatory_matrix` and :func:`feasible_matrix`:
+    temporaries grow with sum |e| x rows, fixed costs (about 0.25 ms a
+    call) with the calls.  1 << 15 member-rows, and at least 512 rows."""
+    return max(512, (1 << 15) // max(1, sum(map(len, instance.hyperedges))))
 
 
 @dataclass(frozen=True)
@@ -218,7 +227,6 @@ def mandatory_matrix(instance: Instance, weights: np.ndarray) -> np.ndarray:
         min_hit = ((lo_m < sub) & (sub < hi_m) & ~at_min).any(axis=0)
         hits = (holds_min | (at_min & min_hit)).reshape(-1, weights_t.shape[1])
         flat = cols.ravel()
-        # a set, not np.unique, whose first call imports numpy.ma
         for j in sorted(set(flat.tolist())):
             out[j] |= hits[flat == j].any(axis=0)
     return out.T
@@ -434,8 +442,8 @@ def _sample_mandatory_cells(
     The rows run through :func:`mandatory_matrix` in row blocks, so memory
     beyond the count x n weights does not grow with ``count``.
     """
-    matrix = probability_matrix(instance)
-    grid = np.array(elementary_grid(instance))
+    matrix, grid = instance.cell_table
+    grid = np.array(grid)
     mid = (grid[:-1] + grid[1:]) / 2.0
     weights = np.empty((count, len(instance.vertices)))
     for j, vid in enumerate(instance.vertex_ids):

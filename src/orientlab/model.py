@@ -187,6 +187,11 @@ class Instance:
         return {v.id: v.cost for v in self.vertices}
 
     @cached_property
+    def cell_table(self) -> tuple[dict[str, list[tuple[int, float]]], tuple[float, ...]]:
+        """``(probability_matrix(self), elementary_grid(self))``, built once."""
+        return probability_matrix(self), elementary_grid(self)
+
+    @cached_property
     def graph_neighbors(self) -> dict[str, tuple[str, ...]]:
         """Adjacency over size-2 hyperedges (the whole edge set for graphs)."""
         adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}

@@ -30,7 +30,8 @@ from orientlab import (
     vertex_split,
     vc_interval_union_dp,
 )
-from orientlab import algorithms, harness
+from orientlab import algorithms, harness, mandatory, model
+from orientlab.model import elementary_grid, probability_matrix
 from orientlab.harness import (
     _BOOT_TAG,
     _BlockSampler,
@@ -489,3 +490,131 @@ class TestBounds:
             hit_y += 1.0 < r["y"] < 2.0
         assert abs(hit_x / draws - 0.5) < 0.01
         assert abs(hit_y / draws - 0.1) < 0.006
+
+
+# ---------------------------------------------------------------------------
+# Kernel row blocks, row numbering and the cell table
+
+
+def _number_rows_reference(masks):
+    """Row numbering by a dict of packed rows, in order of first occurrence."""
+    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    number = {}
+    index = np.array([number.setdefault(key, len(number)) for key in keys], dtype=np.intp)
+    return index, np.unique(index, return_index=True)[1].tolist()
+
+
+def _assert_numbered_like_reference(masks):
+    index, first = harness._number_rows(masks)
+    expect_index, expect_first = _number_rows_reference(masks)
+    assert index.dtype == np.intp
+    assert np.array_equal(index, expect_index)
+    assert first == expect_first
+
+
+@pytest.mark.parametrize("rows", [1, 2, 400, 4097])
+@pytest.mark.parametrize("columns", [1, 8, 12, 64, 65, 130])
+def test_number_rows_matches_dict_numbering(columns, rows):
+    rng = np.random.default_rng([columns, rows])
+    # few set bits, so that rows repeat; with many columns most are distinct
+    for density in (0.02, 0.2, 0.5):
+        _assert_numbered_like_reference(rng.random((rows, columns)) < density)
+    _assert_numbered_like_reference(np.broadcast_to(rng.random(columns) < 0.5, (rows, columns)))
+
+
+@pytest.mark.parametrize("columns", [12, 64, 65, 130])
+def test_number_rows_of_distinct_rows_is_the_identity(columns):
+    masks = np.zeros((columns + 1, columns), dtype=bool)
+    masks[np.arange(1, columns + 1), np.arange(columns)[::-1]] = True  # row 0 is all zeros
+    index, first = harness._number_rows(masks)
+    assert index.tolist() == first == list(range(columns + 1))
+    _assert_numbered_like_reference(masks)
+
+
+_BLOCK_CASES = [
+    (
+        gen_random("gnp", 31, n=10, p=0.35, unit_cost=False),
+        [AlgorithmSpec("threshold"), AlgorithmSpec("bestvc"), AlgorithmSpec("baseline")],
+    ),
+    (
+        gen_random("hypergraph", 32, n=9, m=5, max_size=4, unit_cost=False),
+        [AlgorithmSpec("threshold-hyper"), AlgorithmSpec("bestvc"), AlgorithmSpec("baseline")],
+    ),
+    (
+        gen_benchmark("single-set", n=4, eps=0.05),
+        [
+            AlgorithmSpec("baseline"),
+            AlgorithmSpec("leaves-first"),
+            AlgorithmSpec("two-stage-prefix", k=2),
+            AlgorithmSpec("offline-opt"),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 512, 10**6])
+@pytest.mark.parametrize("case", range(len(_BLOCK_CASES)), ids=["gnp", "hypergraph", "single-set"])
+def test_reports_do_not_depend_on_kernel_row_blocks(monkeypatch, case, rows):
+    inst, specs = _BLOCK_CASES[case]
+    expect = harness.evaluate_all(inst, specs, 300, 41)
+    monkeypatch.setattr(harness, "_kernel_rows", lambda instance: rows)
+    got = harness.evaluate_all(inst, specs, 300, 41)
+    assert [replace(r, wall_ms=0) for r in got] == [replace(r, wall_ms=0) for r in expect]
+
+
+def test_kernel_rows_follow_the_member_count():
+    for seed in range(5):
+        rng = np.random.default_rng([81, seed])
+        graph = gen_random("gnp", rng, n=16, p=0.3, unit_cost=False)  # graph-paired shape
+        assert 2 * len(graph.hyperedges) > 64
+        assert harness._kernel_rows(graph) == 512
+        hyper = gen_random("hypergraph", rng, n=12, m=5, max_size=4, unit_cost=False)
+        members = sum(map(len, hyper.hyperedges))
+        assert harness._kernel_rows(hyper) == max(512, 32768 // members)
+    hyper_paired = gen_random("hypergraph", 11, n=12, m=5, max_size=4, unit_cost=False)
+    assert harness._kernel_rows(hyper_paired) >= 2048
+    one_edge = make_instance(
+        [uniform_vertex("a", 0.0, 2.0), uniform_vertex("b", 1.0, 3.0)], [("a", "b")]
+    )
+    assert harness._kernel_rows(one_edge) == 16384
+
+
+def test_feasibility_pass_memory_does_not_grow_with_the_samples():
+    # one edge: the fewest members, so the longest row blocks
+    inst = make_instance(
+        [uniform_vertex("a", 0.0, 2.0, 1.5), uniform_vertex("b", 1.0, 3.0)], [("a", "b")]
+    )
+    harness._PairedBatch(inst, 1, 1000, 24).check()
+    batch = harness._PairedBatch(inst, 1, 100_000, 24)
+    tracemalloc.start()
+    try:
+        batch.check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1.5 MiB in 16,384-row blocks; 9 MiB in one 100,000-row block
+    assert peak < 2 * 2**20
+
+
+def test_cell_table_is_the_probability_matrix_and_grid():
+    for inst in (gen_benchmark("fork"), gen_random("hypergraph", 5, n=8, m=4, unit_cost=False)):
+        assert inst.cell_table == (probability_matrix(inst), elementary_grid(inst))
+        assert inst.cell_table is inst.cell_table
+
+
+def test_hypergraph_evaluation_builds_one_cell_table(monkeypatch):
+    inst = gen_random("hypergraph", 11, n=12, m=5, max_size=4, unit_cost=False)
+    specs = [AlgorithmSpec("threshold-hyper"), AlgorithmSpec("bestvc"), AlgorithmSpec("baseline")]
+    calls = []
+    build = model.probability_matrix
+
+    def counted(instance):
+        calls.append(instance)
+        return build(instance)
+
+    for module in (model, mandatory, harness):  # wherever the name is imported
+        if hasattr(module, "probability_matrix"):
+            monkeypatch.setattr(module, "probability_matrix", counted)
+    harness.evaluate_all(inst, specs, 500, 7)
+    assert len(calls) == 1

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algorithms import guaranteed_ratio, hyper_ratio, offline_opt
+from .algorithms import OfflineOracle, guaranteed_ratio, hyper_ratio
 from .harness import (
     AlgorithmSpec,
     _raise_bounds,
@@ -275,7 +275,7 @@ def _brute_force_checks(instance, rng, layers=None) -> str | None:
         return "mandatory set != brute-force non-excludable set"
     costs = instance.costs
     brute_opt = min(math.fsum(costs[v] for v in q) for q in feasible)
-    members, cost = offline_opt(instance, realization)
+    members, cost = OfflineOracle(instance).opt(realization)
     if abs(cost - brute_opt) > 1e-9:
         return f"offline opt {cost} != brute force {brute_opt}"
     # partition superadditivity

@@ -14,12 +14,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .mandatory import (
     MandatoryProfile,
     _edge_state,
-    estimate_profile,
     exact_prob_graph,
     is_feasible,
     mandatory_set,
@@ -33,14 +30,10 @@ from .vcover import (
     vc_bipartite_exact,
     vc_exact_small,
     vc_few_hyperedges,
-    vc_interval_union_dp,
     vc_local_ratio_2approx,
 )
 
 __all__ = [
-    "ProbMode",
-    "EXACT_PROBS",
-    "sampled_probs",
     "ThresholdConfig",
     "RunOutcome",
     "optimal_d",
@@ -48,10 +41,6 @@ __all__ = [
     "hyper_ratio",
     "hyper_threshold",
     "OfflineOracle",
-    "offline_opt",
-    "run_threshold_graph",
-    "run_threshold_hypergraph",
-    "run_best_vc",
     "run_adversarial_baseline",
     "run_fixed_cover",
     "run_leaves_first",
@@ -104,35 +93,26 @@ def hyper_threshold(alpha: float, epsilon: float) -> float:
 
 
 @dataclass(frozen=True)
-class ProbMode:
-    kind: str  # "exact" | "sampled"
-    epsilon: float = 0.0
-    delta: float = 0.0
-
-
-EXACT_PROBS = ProbMode("exact")
-
-
-def sampled_probs(epsilon: float, delta: float) -> ProbMode:
-    return ProbMode("sampled", epsilon, delta)
-
-
-@dataclass(frozen=True)
 class ThresholdConfig:
     """Threshold algorithm parameters.
 
-    ``d`` of None means the optimal value for the declared ``alpha``.
-    ``vc_strategy`` selects the black box used on the half-valued part
-    of the LP solution; a callable CoverGraph -> Cover is also accepted.
+    ``d`` of None means the optimal value for the declared ``alpha``, or
+    with ``epsilon`` set (the error of sampled probabilities) that of the
+    sampled hypergraph variant.  ``vc_strategy`` selects the black box
+    used on the half-valued part of the LP solution.
     """
 
     alpha: float = 1.0
     d: float | None = None
-    vc_strategy: object = "exact-small"
-    prob_mode: ProbMode = EXACT_PROBS
+    vc_strategy: str = "exact-small"
+    epsilon: float | None = None
 
     def threshold(self) -> float:
-        return optimal_d(self.alpha) if self.d is None else self.d
+        if self.d is not None:
+            return self.d
+        if self.epsilon is None:
+            return optimal_d(self.alpha)
+        return hyper_threshold(self.alpha, self.epsilon)
 
     def validate(self) -> None:
         if not 1.0 <= self.alpha <= 2.0:
@@ -187,12 +167,6 @@ class OfflineOracle:
         return members, cost
 
 
-def offline_opt(
-    instance: Instance, realization: Realization, vc_bound: int = 24
-) -> tuple[frozenset[str], float]:
-    return OfflineOracle(instance, vc_bound).opt(realization)
-
-
 # ---------------------------------------------------------------------------
 # Shared run plumbing
 
@@ -238,23 +212,16 @@ def _mandatory_completion(rec: _Recorder) -> None:
         pending.append(idx)
 
 
-def _query_sorted(rec: _Recorder, members: Sequence[str], stage: str) -> None:
-    for vid in sorted(members):
-        rec.query(vid, stage)
-
-
 # ---------------------------------------------------------------------------
 # Black-box cover solver selection
 
 
 def resolve_vc_solver(
-    strategy: object,
+    strategy: str,
     instance: Instance,
     weights: Mapping[str, float],
 ) -> Callable[[CoverGraph], Cover]:
-    """Resolve a strategy selector to a solver on induced cover graphs."""
-    if callable(strategy):
-        return strategy
+    """Resolve a strategy name to a solver on induced cover graphs."""
     if strategy == "exact-small":
         return vc_exact_small
     if strategy == "local-ratio":
@@ -263,9 +230,6 @@ def resolve_vc_solver(
         return vc_bipartite_exact
     if strategy == "few-hyperedges":
         return lambda sub: vc_few_hyperedges(instance, weights, subset=sub.vertices)
-    if isinstance(strategy, tuple) and strategy and strategy[0] == "interval-dp":
-        layers = strategy[1]
-        return lambda sub: vc_interval_union_dp(sub, layers)
     raise ValueError(f"unknown vertex cover strategy {strategy!r}")
 
 
@@ -288,35 +252,18 @@ class ThresholdPlan:
 def plan_threshold(
     instance: Instance,
     config: ThresholdConfig,
-    rng: np.random.Generator | None = None,
     profile: MandatoryProfile | None = None,
 ) -> ThresholdPlan:
     """Build the first-stage query set: high-probability vertices, the
     LP ones, and a black-box cover of the half-valued subgraph.
 
-    In exact mode ``profile`` may carry the graph's
-    :func:`exact_prob_graph`, computed once by the caller.
+    ``profile`` holds the mandatory probabilities, by default the
+    graph's :func:`exact_prob_graph`; the caller passes a sampled one.
     """
     config.validate()
-    if config.prob_mode.kind == "exact":
-        if instance.kind != "graph":
-            raise ValueError("exact probabilities require a graph instance")
-        if profile is None:
-            profile = exact_prob_graph(instance)
-        d = config.threshold()
-    else:
-        if rng is None:
-            raise ValueError("sampled probability mode needs an rng")
-        n = max(1, len(instance.vertices))
-        delta_v = 1.0 - (1.0 - config.prob_mode.delta) ** (1.0 / n)
-        profile = estimate_profile(
-            instance, config.prob_mode.epsilon, delta_v, rng
-        )
-        d = (
-            hyper_threshold(config.alpha, config.prob_mode.epsilon)
-            if config.d is None
-            else config.d
-        )
+    if profile is None:
+        profile = exact_prob_graph(instance)
+    d = config.threshold()
     high = frozenset(v for v, p in profile.probs.items() if p >= d)
     cover_graph = build_cover_graph(instance)
     rest = [v for v in instance.vertex_ids if v not in high]
@@ -327,87 +274,32 @@ def plan_threshold(
     return ThresholdPlan(config, profile, high, lp.ones, cover.members, stage1)
 
 
-def _run_plan(
-    instance: Instance,
-    plan: ThresholdPlan,
-    realization: Realization,
-    oracle: OfflineOracle | None,
-) -> RunOutcome:
-    return run_fixed_cover(instance, plan.stage1, realization, oracle)
-
-
-def run_threshold_graph(
-    instance: Instance,
-    config: ThresholdConfig,
-    realization: Realization,
-    oracle: OfflineOracle | None = None,
-) -> RunOutcome:
-    """Threshold algorithm on a graph with exact mandatory probabilities."""
-    plan = plan_threshold(instance, config)
-    return _run_plan(instance, plan, realization, oracle)
-
-
-def run_threshold_hypergraph(
-    instance: Instance,
-    config: ThresholdConfig,
-    realization: Realization,
-    rng: np.random.Generator,
-    oracle: OfflineOracle | None = None,
-) -> RunOutcome:
-    """Threshold algorithm on the cover graph with sampled probabilities."""
-    if config.prob_mode.kind != "sampled":
-        raise ValueError("hypergraph variant requires sampled probabilities")
-    plan = plan_threshold(instance, config, rng)
-    return _run_plan(instance, plan, realization, oracle)
-
-
 # ---------------------------------------------------------------------------
 # Cover-first algorithms
 
 
 def plan_best_vc(
     instance: Instance,
-    vc_strategy: object = "exact-small",
-    prob_mode: ProbMode = EXACT_PROBS,
-    rng: np.random.Generator | None = None,
+    vc_strategy: str = "exact-small",
     profile: MandatoryProfile | None = None,
 ) -> tuple[MandatoryProfile, Cover]:
     """Choose the stage-1 cover minimizing sum (1 - p_v) c_v.
 
     Any cover pays its full cost up front but only mandatory vertices
     elsewhere, so this weighting makes the expected total minimal among
-    cover-first strategies; the solver must be exact.  In exact mode
-    ``profile`` may carry the :func:`exact_prob_graph` the caller has.
+    cover-first strategies; the solver must be exact.  ``profile`` holds
+    the mandatory probabilities, by default :func:`exact_prob_graph`.
     """
     if vc_strategy == "local-ratio":
         raise ValueError("the cover-first algorithm needs an exact cover solver")
-    if prob_mode.kind == "exact":
-        if profile is None:
-            profile = exact_prob_graph(instance)
-    else:
-        if rng is None:
-            raise ValueError("sampled probability mode needs an rng")
-        profile = estimate_profile(instance, prob_mode.epsilon, prob_mode.delta, rng)
+    if profile is None:
+        profile = exact_prob_graph(instance)
     weights = {
         v.id: (1.0 - profile.probs[v.id]) * v.cost for v in instance.vertices
     }
     cover_graph = build_cover_graph(instance, weights)
     solver = resolve_vc_solver(vc_strategy, instance, weights)
     return profile, solver(cover_graph)
-
-
-def run_best_vc(
-    instance: Instance,
-    vc_strategy: object = "exact-small",
-    prob_mode: ProbMode = EXACT_PROBS,
-    realization: Realization | None = None,
-    rng: np.random.Generator | None = None,
-    oracle: OfflineOracle | None = None,
-) -> RunOutcome:
-    if realization is None:
-        raise ValueError("run_best_vc needs a realization")
-    _, cover = plan_best_vc(instance, vc_strategy, prob_mode, rng)
-    return run_fixed_cover(instance, cover.members, realization, oracle)
 
 
 def run_fixed_cover(
@@ -422,7 +314,8 @@ def run_fixed_cover(
     the mandatory vertices outside it.
     """
     rec = _Recorder(instance, realization)
-    _query_sorted(rec, list(cover_members), "stage1")
+    for vid in sorted(cover_members):
+        rec.query(vid, "stage1")
     _mandatory_completion(rec)
     return rec.finish(oracle)
 

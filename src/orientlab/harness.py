@@ -17,14 +17,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .algorithms import (
-    EXACT_PROBS,
     OfflineOracle,
     RunOutcome,
     ThresholdConfig,
-    hyper_threshold,
     plan_best_vc,
     plan_threshold,
-    sampled_probs,
 )
 from .mandatory import (
     MandatoryProfile,
@@ -32,6 +29,7 @@ from .mandatory import (
     _hyperedge_columns,
     _kernel_rows,
     completion_matrix,
+    estimate_profile,
     exact_prob_graph,
     feasible_matrix,
     is_feasible,
@@ -143,13 +141,13 @@ class _BlockSampler:
 
     def weights(self, start: int, stop: int) -> np.ndarray:
         """Weights of realizations start..stop-1: one row each, columns in
-        ``vertex_ids`` order."""
-        parts = [np.empty((0, len(self.ids)))]
+        ``vertex_ids`` order, written block by block into one array."""
+        out = np.empty((max(0, stop - start), len(self.ids)))
         for block in range(start // _BLOCK, -(-stop // _BLOCK)):
             first = block * _BLOCK
             lo, hi = max(start, first) - first, min(stop, first + _BLOCK) - first
-            parts.append(self._block_weights(block, hi)[lo:])
-        return np.concatenate(parts)
+            out[first + lo - start : first + hi - start] = self._block_weights(block, hi)[lo:]
+        return out
 
     def realization(self, index: int) -> Realization:
         block, row = divmod(index, _BLOCK)
@@ -730,7 +728,7 @@ class AlgorithmSpec:
     d: float | None = None
     epsilon: float = 0.05
     delta: float = 0.1
-    vc_strategy: object = None
+    vc_strategy: str | None = None
     cover: tuple[str, ...] | None = None
     k: int | None = None
 
@@ -751,13 +749,10 @@ class AlgorithmSpec:
         return self.kind
 
     def threshold_used(self) -> float | None:
-        if self.kind == "threshold":
-            return ThresholdConfig(self.alpha, self.d).threshold()
-        if self.kind == "threshold-hyper":
-            return (
-                hyper_threshold(self.alpha, self.epsilon) if self.d is None else self.d
-            )
-        return None
+        if not self.kind.startswith("threshold"):
+            return None
+        epsilon = self.epsilon if self.kind == "threshold-hyper" else None
+        return ThresholdConfig(self.alpha, self.d, epsilon=epsilon).threshold()
 
 
 @dataclass(frozen=True)
@@ -775,7 +770,7 @@ class EvaluationReport:
     alpha: float | None = None
 
 
-def _auto_strategy(spec: AlgorithmSpec, instance: Instance) -> object:
+def _auto_strategy(spec: AlgorithmSpec, instance: Instance) -> str:
     if spec.vc_strategy is not None:
         return spec.vc_strategy
     if spec.kind in ("threshold", "threshold-hyper"):
@@ -825,25 +820,26 @@ def _plan(
     sampled estimates) happens here, deterministically from the master
     seed.  ``profile`` is the exact mandatory profile of a graph instance
     when the caller has it; the plans that need it compute it otherwise.
+    The profile is sampled instead for threshold-hyper on any instance,
+    each vertex's estimate failing with probability delta_v so that all
+    hold together with probability 1 - delta, and for bestvc on
+    hypergraphs.
     """
     strategy = _auto_strategy(spec, instance)
-    if spec.kind == "threshold":
-        config = ThresholdConfig(spec.alpha, spec.d, strategy, EXACT_PROBS)
-        stage1 = plan_threshold(instance, config, profile=profile).stage1
-    elif spec.kind == "threshold-hyper":
-        config = ThresholdConfig(
-            spec.alpha, spec.d, strategy, sampled_probs(spec.epsilon, spec.delta)
-        )
+    if spec.kind == "threshold-hyper" or (spec.kind == "bestvc" and instance.kind != "graph"):
+        delta = spec.delta
+        if spec.kind == "threshold-hyper":
+            if not 0.0 < delta < 1.0:
+                raise ValueError("epsilon and delta must lie in (0, 1)")
+            delta = 1.0 - (1.0 - delta) ** (1.0 / max(1, len(instance.vertices)))
         rng = np.random.default_rng([master_seed, _PLAN_TAG])
-        stage1 = plan_threshold(instance, config, rng).stage1
+        profile = estimate_profile(instance, spec.epsilon, delta, rng)
+    if spec.kind in ("threshold", "threshold-hyper"):
+        epsilon = spec.epsilon if spec.kind == "threshold-hyper" else None
+        config = ThresholdConfig(spec.alpha, spec.d, strategy, epsilon)
+        stage1 = plan_threshold(instance, config, profile).stage1
     elif spec.kind == "bestvc":
-        mode = (
-            EXACT_PROBS
-            if instance.kind == "graph"
-            else sampled_probs(spec.epsilon, spec.delta)
-        )
-        rng = np.random.default_rng([master_seed, _PLAN_TAG])
-        _, cover = plan_best_vc(instance, strategy, mode, rng, profile)
+        _, cover = plan_best_vc(instance, strategy, profile)
         stage1 = tuple(sorted(cover.members))
     elif spec.kind == "fixed-cover":
         stage1 = tuple(sorted(spec.cover or ()))
@@ -992,12 +988,6 @@ def _query_sets(policy: Policy, batch: _PairedBatch) -> tuple[np.ndarray, np.nda
     return queried[first], index
 
 
-def _alg_queries(policy: Policy, batch: _PairedBatch) -> np.ndarray:
-    """Query set of a planned policy on every realization, one mask per row."""
-    sets, index = _query_sets(policy, batch)
-    return sets[index]
-
-
 def _alg_costs(policy: Policy, batch: _PairedBatch) -> np.ndarray:
     if policy.spec.kind == "offline-opt":
         return batch.opt
@@ -1019,8 +1009,8 @@ def _percentiles(x: np.ndarray, q: Sequence[float]) -> np.ndarray:
     one partition: numpy's default "linear" rule takes the virtual index
     (n - 1) q / 100 between two order statistics a and b and, like
     numpy's ``_lerp``, gives a + (b - a) t, or b - (b - a)(1 - t) where
-    the weight t is at least 1/2.  np.percentile also calls np.unique,
-    whose first call in a process imports numpy.ma."""
+    the weight t is at least 1/2.  On numpy 2.4, np.percentile imports
+    numpy.ma, which ``run`` and ``check`` otherwise leave unimported."""
     n = x.shape[1]
     virtual = (n - 1) * (np.asarray(q, dtype=float) / 100)
     below = np.floor(virtual)

@@ -25,7 +25,6 @@ __all__ = [
     "is_feasible",
     "feasible_matrix",
     "completion_matrix",
-    "orientation_state",
     "exact_prob_graph",
     "estimate_prob",
     "estimate_profile",
@@ -391,19 +390,6 @@ def completion_matrix(
     return out_t.T | mandatory
 
 
-def orientation_state(
-    instance: Instance, revealed: Mapping[str, float]
-) -> dict[int, tuple[str, str]]:
-    """Per-hyperedge status under partially revealed weights."""
-    for vid, w in revealed.items():
-        if vid in instance.by_id and not instance.interval(vid).contains(w):
-            raise ValueError(f"revealed weight {w} of {vid} outside {instance.interval(vid)}")
-    return {
-        i: _edge_state(instance, members, revealed)
-        for i, members in enumerate(instance.hyperedges)
-    }
-
-
 def exact_prob_graph(instance: Instance) -> MandatoryProfile:
     """Exact mandatory probabilities for graphs.
 
@@ -413,7 +399,7 @@ def exact_prob_graph(instance: Instance) -> MandatoryProfile:
     vertex gets back exactly the overlap mass.
     """
     if instance.kind != "graph":
-        raise ValueError("exact probabilities only for graphs; estimate instead")
+        raise ValueError("exact probabilities only for graphs; use a sampled estimate")
     probs: dict[str, float] = {}
     for v in instance.vertices:
         miss_n, miss_d = 1, 1

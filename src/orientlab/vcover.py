@@ -15,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import Instance
 
@@ -34,8 +34,6 @@ __all__ = [
     "vc_exact_small",
     "vc_local_ratio_2approx",
     "vc_few_hyperedges",
-    "clique_reduce",
-    "interval_layer_clique_finder",
     "vc_interval_union_dp",
 ]
 
@@ -535,81 +533,6 @@ def vc_few_hyperedges(
 
 
 # ---------------------------------------------------------------------------
-# Clique removal (local ratio on cliques)
-
-
-def clique_reduce(
-    g: CoverGraph,
-    find_clique: Callable[[CoverGraph], Optional[Sequence[str]]],
-) -> tuple[CoverGraph, Cover, tuple[tuple[tuple[str, ...], float], ...]]:
-    """Strip cliques of size >= 3 by local ratio.
-
-    Repeatedly lowers every clique member's residual weight by the clique
-    minimum; members hitting zero are forced into the query set and
-    removed.  The returned log of (clique, delta) pairs lets callers
-    verify the 3/2 charging argument: forced weight <= sum |C_i| delta_i,
-    while any cover loses at least (|C_i| - 1) delta_i per step.
-    """
-    residual = dict(g.weights)
-    edges = set(g.edges)
-    forced: list[str] = []
-    log: list[tuple[tuple[str, ...], float]] = []
-    current = g
-    while True:
-        clique = find_clique(current)
-        if clique is None:
-            break
-        clique = tuple(clique)
-        if len(clique) < 3:
-            raise ValueError("clique finder returned fewer than 3 vertices")
-        adj = current.adjacency
-        for a, b in itertools.combinations(clique, 2):
-            if b not in adj[a]:
-                raise ValueError(f"clique finder returned non-adjacent pair {a}, {b}")
-        delta = min(residual[v] for v in clique)
-        log.append((tuple(sorted(clique)), delta))
-        dropped = set()
-        for v in clique:
-            residual[v] -= delta
-            if residual[v] == 0.0:
-                dropped.add(v)
-                forced.append(v)
-        edges = {e for e in edges if e[0] not in dropped and e[1] not in dropped}
-        current = make_cover_graph(
-            {v: residual[v] for v in residual if v not in set(forced)}, edges
-        )
-    forced_weight = math.fsum(g.weights[v] for v in forced)
-    return current, Cover(frozenset(forced), forced_weight), tuple(log)
-
-
-def interval_layer_clique_finder(
-    layers: Sequence[Sequence[str]],
-) -> Callable[[CoverGraph], Optional[tuple[str, ...]]]:
-    """Clique enumerator for layered proper-interval graphs.
-
-    Scans layers in index order and returns the leftmost maximal run of
-    consecutive, pairwise-adjacent vertices of length >= 3.
-    """
-
-    def find(g: CoverGraph) -> Optional[tuple[str, ...]]:
-        present = set(g.vertices)
-        adj = g.adjacency
-        for layer in layers:
-            seq = [v for v in layer if v in present]
-            i = 0
-            while i < len(seq):
-                j = i + 1
-                while j < len(seq) and all(seq[j] in adj[seq[t]] for t in range(i, j)):
-                    j += 1
-                if j - i >= 3:
-                    return tuple(seq[i:j])
-                i += 1
-        return None
-
-    return find
-
-
-# ---------------------------------------------------------------------------
 # Exact cover of a union of triangle-free proper-interval layers
 
 
@@ -668,7 +591,7 @@ def vc_interval_union_dp(
     adj = g.adjacency
     for a, b in g.edges:
         if set(adj[a]) & set(adj[b]):
-            raise ValueError("graph contains a triangle; reduce cliques first")
+            raise ValueError("graph contains a triangle")
 
     order = _merge_layer_order(restricted)
     member_layers: dict[str, list[int]] = {v: [] for v in order}

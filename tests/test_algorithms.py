@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from orientlab import (
-    EXACT_PROBS,
     OfflineOracle,
     Realization,
     ThresholdConfig,
     build_cover_graph,
     elementary_grid,
     enumerate_cell_realizations,
+    estimate_profile,
     exact_expected_cost,
     exact_expected_opt,
     gen_benchmark,
@@ -21,21 +21,38 @@ from orientlab import (
     is_feasible,
     mandatory_set,
     mandatory_set_cells,
-    offline_opt,
     optimal_d,
     run_adversarial_baseline,
-    run_best_vc,
     run_fixed_cover,
     run_leaves_first,
-    run_threshold_graph,
-    run_threshold_hypergraph,
     sample_realization,
-    sampled_probs,
 )
-from orientlab.algorithms import plan_threshold
+from orientlab.algorithms import plan_best_vc, plan_threshold
 from orientlab.harness import _BlockSampler
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def threshold_runner(inst, config, oracle=None):
+    """The threshold algorithm on exact probabilities: one plan, then
+    :func:`run_fixed_cover` from its stage 1 on each realization."""
+    plan = plan_threshold(inst, config)
+    return lambda r: run_fixed_cover(inst, plan.stage1, r, oracle)
+
+
+def sampled_plan(inst, config, delta, rng):
+    """The threshold plan from sampled probabilities, each vertex's
+    estimate failing with probability delta_v so that all hold together
+    with probability 1 - delta, as the harness plans threshold-hyper."""
+    delta_v = 1.0 - (1.0 - delta) ** (1.0 / len(inst.vertices))
+    return plan_threshold(inst, config, estimate_profile(inst, config.epsilon, delta_v, rng))
+
+
+def best_vc_runner(inst, strategy, oracle=None):
+    """The best cover-first algorithm: one cover, then
+    :func:`run_fixed_cover` from it on each realization."""
+    _, cover = plan_best_vc(inst, strategy)
+    return lambda r: run_fixed_cover(inst, cover.members, r, oracle)
 
 
 class TestParameters:
@@ -67,14 +84,14 @@ class TestParameters:
 class TestOfflineOpt:
     def test_fork_examples(self):
         fork = gen_benchmark("fork", eps=0.1)
-        members, cost = offline_opt(fork, Realization({"x": 1.5, "y": 2.5, "z": 2.5}))
+        members, cost = OfflineOracle(fork).opt(Realization({"x": 1.5, "y": 2.5, "z": 2.5}))
         assert members == {"y", "z"} and cost == 2.0
-        members, cost = offline_opt(fork, Realization({"x": 0.5, "y": 2.5, "z": 2.5}))
+        members, cost = OfflineOracle(fork).opt(Realization({"x": 0.5, "y": 2.5, "z": 2.5}))
         assert members == {"x"} and cost == 1.0
 
     def test_all_mandatory(self):
         fork = gen_benchmark("fork", eps=0.1)
-        members, cost = offline_opt(fork, Realization({"x": 1.5, "y": 1.8, "z": 1.9}))
+        members, cost = OfflineOracle(fork).opt(Realization({"x": 1.5, "y": 1.8, "z": 1.9}))
         assert members == {"x", "y", "z"} and cost == 3.0
 
     def test_matches_brute_force_random(self):
@@ -89,7 +106,7 @@ class TestOfflineOpt:
                 q = frozenset(ids[j] for j in range(len(ids)) if mask >> j & 1)
                 if is_feasible(inst, r, q):
                     best = min(best, math.fsum(inst.costs[v] for v in q))
-            assert offline_opt(inst, r)[1] == pytest.approx(best, abs=1e-9)
+            assert OfflineOracle(inst).opt(r)[1] == pytest.approx(best, abs=1e-9)
 
 
 class TestThresholdGraph:
@@ -102,7 +119,7 @@ class TestThresholdGraph:
     def test_fork_expected_cost_exactly_two(self):
         fork = gen_benchmark("fork", eps=0.01)
         oracle = OfflineOracle(fork)
-        runner = lambda r: run_threshold_graph(fork, ThresholdConfig(alpha=1.0), r, oracle)
+        runner = threshold_runner(fork, ThresholdConfig(alpha=1.0), oracle)
         assert exact_expected_cost(fork, runner) == pytest.approx(2.0, abs=1e-12)
 
     def test_edge_trap_expected_cost(self):
@@ -110,7 +127,7 @@ class TestThresholdGraph:
         inst = gen_benchmark("edge-trap", d=d, eps=eps, eps2=eps2)
         oracle = OfflineOracle(inst)
         config = ThresholdConfig(alpha=1.0, d=d)
-        runner = lambda r: run_threshold_graph(inst, config, r, oracle)
+        runner = threshold_runner(inst, config, oracle)
         # the canonical cover pick is the almost-never-mandatory vertex,
         # so the other endpoint still gets queried with probability d - eps
         assert exact_expected_cost(inst, runner) == pytest.approx(1 + d - eps, abs=1e-12)
@@ -125,44 +142,33 @@ class TestThresholdGraph:
 
     def test_edgeless_queries_nothing(self):
         inst = gen_random("gnp", 1, n=4, p=0.0)
-        out = run_threshold_graph(
-            inst, ThresholdConfig(alpha=1.0), sample_realization(inst, np.random.default_rng(0))
-        )
+        runner = threshold_runner(inst, ThresholdConfig(alpha=1.0))
+        out = runner(sample_realization(inst, np.random.default_rng(0)))
         assert out.transcript.total_cost == 0.0
 
     def test_exact_probs_reject_hypergraph(self):
         inst = gen_benchmark("weighted-triple")
         with pytest.raises(ValueError):
-            run_threshold_graph(
-                inst, ThresholdConfig(alpha=1.0), Realization({"x": 2.5, "y": 1.5, "z": 3.5})
-            )
+            plan_threshold(inst, ThresholdConfig(alpha=1.0))
 
     def test_guarantee_in_expectation_unit_costs(self):
-        from orientlab.algorithms import _run_plan
-
         rng = np.random.default_rng(1)
         for i in range(6):
             inst = gen_random("gnp", rng, n=5, p=0.4)
             oracle = OfflineOracle(inst)
             for alpha, strategy in ((1.0, "exact-small"), (2.0, "local-ratio")):
                 config = ThresholdConfig(alpha=alpha, vc_strategy=strategy)
-                plan = plan_threshold(inst, config)
-                plan_cost = exact_expected_cost(
-                    inst, lambda r: _run_plan(inst, plan, r, oracle)
-                )
+                plan_cost = exact_expected_cost(inst, threshold_runner(inst, config, oracle))
                 opt = exact_expected_opt(inst)
                 assert plan_cost <= guaranteed_ratio(alpha) * opt + 1e-9
 
     def test_guarantee_in_expectation_arbitrary_costs(self):
-        from orientlab.algorithms import _run_plan
-
         rng = np.random.default_rng(2)
         for _ in range(4):
             inst = gen_random("gnp", rng, n=5, p=0.4, unit_cost=False)
             oracle = OfflineOracle(inst)
-            plan = plan_threshold(inst, ThresholdConfig(alpha=1.0))
             cost = exact_expected_cost(
-                inst, lambda r: _run_plan(inst, plan, r, oracle)
+                inst, threshold_runner(inst, ThresholdConfig(alpha=1.0), oracle)
             )
             assert cost <= guaranteed_ratio(1.0) * exact_expected_opt(inst) + 1e-9
 
@@ -171,35 +177,30 @@ class TestThresholdHypergraph:
     def test_matches_graph_plan_on_fork(self):
         fork = gen_benchmark("fork", eps=0.1)
         rng = np.random.default_rng(3)
-        config = ThresholdConfig(
-            alpha=1.0, vc_strategy="exact-small", prob_mode=sampled_probs(0.02, 0.05)
-        )
-        plan = plan_threshold(fork, config, rng)
+        config = ThresholdConfig(alpha=1.0, vc_strategy="exact-small", epsilon=0.02)
+        plan = sampled_plan(fork, config, 0.05, rng)
         graph_plan = plan_threshold(fork, ThresholdConfig(alpha=1.0))
         assert plan.stage1 == graph_plan.stage1 == ("x",)
 
     def test_feasible_on_overlap_family(self):
         inst = gen_benchmark("overlap-family", k=3, eps=0.05)
         rng = np.random.default_rng(4)
-        config = ThresholdConfig(
-            alpha=1.0, vc_strategy="few-hyperedges", prob_mode=sampled_probs(0.1, 0.2)
-        )
+        config = ThresholdConfig(alpha=1.0, vc_strategy="few-hyperedges", epsilon=0.1)
         oracle = OfflineOracle(inst)
         sampler = _BlockSampler(inst, 99)
         for i in range(1000):
             r = sampler.realization(i)
-            out = run_threshold_hypergraph(inst, config, r, rng, oracle)
+            plan = sampled_plan(inst, config, 0.2, rng)  # a fresh estimate each time
+            out = run_fixed_cover(inst, plan.stage1, r, oracle)
             # feasibility is asserted inside the runner; check pairing too
             assert out.opt_cost <= out.transcript.total_cost + 1e-9
 
     def test_single_hyperedge_stage2_walks_left_to_right(self):
         inst = gen_benchmark("single-set", n=3, eps=0.2)
         rng = np.random.default_rng(5)
-        config = ThresholdConfig(
-            alpha=1.0, vc_strategy="few-hyperedges", prob_mode=sampled_probs(0.1, 0.2)
-        )
+        config = ThresholdConfig(alpha=1.0, vc_strategy="few-hyperedges", epsilon=0.1)
         r = Realization({"e0": 1.5, "e1": 1.6, "e2": 2.5, "e3": 2.6})
-        out = run_threshold_hypergraph(inst, config, r, rng)
+        out = run_fixed_cover(inst, sampled_plan(inst, config, 0.2, rng).stage1, r)
         stages = [(s.vertex, s.stage) for s in out.transcript.steps]
         stage2 = [v for v, stage in stages if stage == "stage2"]
         assert stage2 == sorted(stage2)  # ids sorted = left endpoint order here
@@ -207,13 +208,9 @@ class TestThresholdHypergraph:
 
     def test_requires_sampled_mode(self):
         inst = gen_benchmark("weighted-triple")
+        # a hypergraph has no exact profile: the caller must sample one
         with pytest.raises(ValueError, match="sampled"):
-            run_threshold_hypergraph(
-                inst,
-                ThresholdConfig(alpha=1.0),
-                Realization({"x": 2.5, "y": 1.5, "z": 3.5}),
-                np.random.default_rng(0),
-            )
+            plan_threshold(inst, ThresholdConfig(alpha=1.0))
 
 
 class TestBestVc:
@@ -221,17 +218,13 @@ class TestBestVc:
         p = q = 0.4
         inst = gen_benchmark("overlap-pair", p=p, q=q)
         oracle = OfflineOracle(inst)
-        runner = lambda r: run_best_vc(
-            inst, "exact-small", EXACT_PROBS, r, oracle=oracle
-        )
+        runner = best_vc_runner(inst, "exact-small", oracle)
         assert exact_expected_cost(inst, runner) == pytest.approx(1 + p, abs=1e-12)
         assert exact_expected_opt(inst) == pytest.approx(1 + p * q, abs=1e-12)
 
     def test_overlap_pair_tie_breaks_to_v0(self):
         inst = gen_benchmark("overlap-pair", p=0.4, q=0.4)
-        out = run_best_vc(
-            inst, "exact-small", EXACT_PROBS, Realization({"v0": 0.5, "v1": 2.5})
-        )
+        out = best_vc_runner(inst, "exact-small")(Realization({"v0": 0.5, "v1": 2.5}))
         assert [s.vertex for s in out.transcript.steps] == ["v0"]
 
     def test_zero_reduced_weight_joins_cover(self):
@@ -244,9 +237,7 @@ class TestBestVc:
         from orientlab import make_instance
 
         inst = make_instance([v0, v1], [["v0", "v1"]])
-        from orientlab.algorithms import plan_best_vc
-
-        _, cover = plan_best_vc(inst, "exact-small", EXACT_PROBS)
+        _, cover = plan_best_vc(inst, "exact-small")
         assert "v0" in cover.members
 
     def test_star_per_realization_bound(self):
@@ -265,7 +256,7 @@ class TestBestVc:
         rng = np.random.default_rng(6)
         inst = gen_random("bipartite", rng, nl=3, nr=4, p=0.5)
         r = sample_realization(inst, rng)
-        out = run_best_vc(inst, "bipartite", EXACT_PROBS, r)
+        out = best_vc_runner(inst, "bipartite")(r)
         assert is_feasible(inst, r, out.transcript.queried)
 
 
@@ -352,10 +343,9 @@ class TestWeightedTriple:
 class TestRunInvariants:
     def algorithms(self, inst, oracle):
         yield lambda r: run_adversarial_baseline(inst, r, oracle)
-        yield lambda r: run_best_vc(inst, "exact-small", EXACT_PROBS, r, oracle=oracle)
+        yield best_vc_runner(inst, "exact-small", oracle)
         if inst.kind == "graph":
-            config = ThresholdConfig(alpha=1.0)
-            yield lambda r: run_threshold_graph(inst, config, r, oracle)
+            yield threshold_runner(inst, ThresholdConfig(alpha=1.0), oracle)
 
     def test_feasible_and_opt_bounded(self):
         rng = np.random.default_rng(8)
@@ -462,7 +452,5 @@ class TestBalancedStar:
     def test_best_vc_within_four_thirds(self):
         inst, _, _ = self.build()
         oracle = OfflineOracle(inst)
-        cost = exact_expected_cost(
-            inst, lambda r: run_best_vc(inst, "bipartite", EXACT_PROBS, r, oracle=oracle)
-        )
+        cost = exact_expected_cost(inst, best_vc_runner(inst, "bipartite", oracle))
         assert cost <= 4.0 / 3.0 * exact_expected_opt(inst) + 1e-9

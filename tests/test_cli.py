@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import math
@@ -112,6 +113,36 @@ class TestRun:
             assert code == 0
             assert out.encode() == (data / pinned).read_bytes()
 
+    def test_graph_sampled_planning_runs_print_pinned_bytes(self, tmp_path, capsys):
+        """threshold-hyper samples its profile on graphs too, the one graph
+        path that does; bytes made by an earlier commit.  On the 8-leaf
+        star-trap the leaves' probability sits just below the threshold,
+        so the sampled estimates decide the stage-1 set."""
+        path = tmp_path / "star.json"
+        path.write_text(serialize_instance(gen_benchmark("star-trap", n=8)))
+        commands = [
+            ["--gen", "fork", "-a", "threshold-hyper", "-a", "bestvc", "--eps", "0.02"],
+            ["--instance", str(path), "-a", "threshold-hyper", "-a", "threshold", "-a", "bestvc",
+             "--eps", "0.02", "--samples", "2000"],
+        ]
+        printed = ""
+        for source in commands:
+            code, out, _ = run_main(["run", *source, "--seed", "7"], capsys)
+            assert code == 0
+            printed += out
+        pinned = Path(__file__).parent / "data" / "graph_sampled_run.csv"
+        assert printed.encode() == pinned.read_bytes()
+
+    @pytest.mark.parametrize("delta", ["1.5", "1", "0", "-0.5"])
+    def test_threshold_hyper_delta_outside_unit_interval_exits_2(self, delta, capsys):
+        code, out, err = run_main(
+            ["run", "--gen", "fork", "-a", "threshold-hyper", "--delta", delta, "--samples", "100"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "orientlab: epsilon and delta must lie in (0, 1)\n"
+
     def test_seed_makes_output_byte_identical(self, capsys):
         args = [
             "run", "--gen", "overlap-pair", "--p", "0.3", "--q", "0.5",
@@ -219,6 +250,32 @@ def test_check_failure_exit_code(monkeypatch, capsys):
     out, _ = capsys.readouterr()
     assert code == 3
     assert "FAIL vertex-split" in out
+
+
+def test_benchmark_output_checks_accept_a_run(tmp_path, capsys):
+    """``check_rows`` of ``bench/workloads.py`` (stdlib-only at import)
+    passes on a run of the default algorithms on a weighted gnp: its
+    exact E[ALG] reads ``plan_threshold``, ``plan_best_vc`` and
+    ``exact_prob_graph``.  A shifted threshold mean fails it."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    instance = gen_random("gnp", 3, n=10, p=0.3, unit_cost=False)
+    doc = tmp_path / "gnp.json"
+    doc.write_text(serialize_instance(instance))
+    code, out, _ = run_main(
+        ["run", "--instance", str(doc), "--samples", "2000", "--seed", "11"], capsys
+    )
+    assert code == 0
+    algorithms = [("threshold", 1.0, None), ("bestvc", None, None), ("baseline", None, None)]
+    assert workloads.check_rows(out, instance, algorithms, 2000, 11, header=True) == (set(), [])
+    lines = out.splitlines()
+    row = lines[1].split(",")
+    row[5] = repr(float(row[5]) * 1.1)  # mean_alg
+    lines[1] = ",".join(row)
+    failed, _ = workloads.check_rows("\n".join(lines), instance, algorithms, 2000, 11, header=True)
+    assert failed == {0}
 
 
 def test_run_reports_solver_bound_per_row(tmp_path, capsys):

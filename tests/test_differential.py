@@ -39,10 +39,10 @@ from orientlab import (
 from orientlab.harness import (
     BENCHMARKS,
     _alg_costs,
-    _alg_queries,
     _BlockSampler,
     _PairedBatch,
     _plan,
+    _query_sets,
 )
 from orientlab.mandatory import (
     _edge_state,
@@ -140,7 +140,8 @@ def test_batched_costs_match_scalar_reference(instance):
         policy = _plan(spec, instance, SEED)
         assert policy.adaptive == adaptive, spec.algorithm_id
         alg = _alg_costs(policy, batch)
-        rows = _alg_queries(policy, batch)
+        sets, index = _query_sets(policy, batch)
+        rows = sets[index]
         for i, r in enumerate(realizations):
             if spec.kind == "offline-opt":
                 queried, cost = optimal[i]
@@ -163,7 +164,8 @@ def test_leaves_first_matches_scalar_reference():
         batch = _PairedBatch(instance, SEED, N, VC_BOUND)
         policy = _plan(AlgorithmSpec("leaves-first"), instance, SEED)
         alg = _alg_costs(policy, batch)
-        rows = _alg_queries(policy, batch)
+        sets, index = _query_sets(policy, batch)
+        rows = sets[index]
         sampler = _BlockSampler(instance, SEED)
         for i in range(N):
             out = run_leaves_first(instance, sampler.realization(i))
@@ -182,7 +184,8 @@ def test_two_stage_prefix_matches_scalar_reference(k):
         batch = _PairedBatch(instance, SEED, N, VC_BOUND)
         policy = _plan(AlgorithmSpec("two-stage-prefix", k=k), instance, SEED)
         alg = _alg_costs(policy, batch)
-        rows = _alg_queries(policy, batch)
+        sets, index = _query_sets(policy, batch)
+        rows = sets[index]
         members = instance.hyperedges[0]
         prefix_cost = math.fsum(instance.costs[v] for v in members[:k])
         sampler = _BlockSampler(instance, SEED)
@@ -287,7 +290,9 @@ def test_stacked_feasibility_matches_scalar_reference(instance):
     every spec's query sets, random sets and the full set."""
     batch = _PairedBatch(instance, SEED, N, VC_BOUND)
     stack = [batch.optimal[batch.pattern]]
-    stack += [_alg_queries(_plan(spec, instance, SEED), batch) for spec, _ in _specs(instance)]
+    for spec, _ in _specs(instance):
+        sets, index = _query_sets(_plan(spec, instance, SEED), batch)
+        stack.append(sets[index])
     rng = np.random.default_rng(SEED)
     stack += [rng.random(batch.weights.shape) < share for share in (0.5, 0.9)]
     stack.append(np.ones(batch.weights.shape, dtype=bool))

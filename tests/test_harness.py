@@ -597,6 +597,28 @@ def test_feasibility_pass_memory_does_not_grow_with_the_samples():
     assert peak < 2 * 2**20
 
 
+def test_sampled_weights_are_written_into_one_array():
+    # 100,000 rows of 2 float64 weights are 1.53 MiB; concatenating a list
+    # of row blocks held them twice (a 3.06 MiB peak)
+    inst = make_instance(
+        [uniform_vertex("a", 0.0, 2.0, 1.5), uniform_vertex("b", 1.0, 3.0)], [("a", "b")]
+    )
+    sampler = _BlockSampler(inst, 1)
+    sampler.weights(0, 1000)  # one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        weights = sampler.weights(0, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.nbytes == 1_600_000
+    assert peak < 1.5 * weights.nbytes
+    block = harness._BLOCK
+    starts = range(0, 100_000, block)
+    rows = [sampler._block_weights(a // block, min(block, 100_000 - a)) for a in starts]
+    assert weights.tobytes() == np.concatenate(rows).tobytes()
+
+
 def test_cell_table_is_the_probability_matrix_and_grid():
     for inst in (gen_benchmark("fork"), gen_random("hypergraph", 5, n=8, m=4, unit_cost=False)):
         assert inst.cell_table == (probability_matrix(inst), elementary_grid(inst))

@@ -20,12 +20,11 @@ from orientlab import (
     make_instance,
     mandatory_set,
     mandatory_set_cells,
-    orientation_state,
     probability_matrix,
     sample_realization,
 )
 from orientlab.harness import BENCHMARKS
-from orientlab.mandatory import _sample_mandatory_cells, mandatory_matrix
+from orientlab.mandatory import _edge_state, _sample_mandatory_cells, mandatory_matrix
 from test_model import uniform_vertex, vertex
 
 
@@ -98,6 +97,12 @@ class TestFeasibility:
             assert mandatory_set(inst, r) == frozenset.intersection(*feasible)
 
 
+def orientation_state(instance, revealed):
+    """:func:`_edge_state` of every hyperedge, by index."""
+    edges = enumerate(instance.hyperedges)
+    return {i: _edge_state(instance, members, revealed) for i, members in edges}
+
+
 class TestOrientationState:
     def test_fork_solved_by_x(self, fork):
         state = orientation_state(fork, {"x": 0.5})
@@ -121,10 +126,6 @@ class TestOrientationState:
         )
         # b right of a's interval: a wins without being queried
         assert orientation_state(inst, {"b": 3.5}) == {0: ("solved", "a")}
-
-    def test_inconsistent_weight_rejected(self, fork):
-        with pytest.raises(ValueError, match="outside"):
-            orientation_state(fork, {"x": 2.5})
 
     def test_no_reveals_opens_leftmost(self, fork):
         assert orientation_state(fork, {}) == {0: ("open", "x"), 1: ("open", "x")}

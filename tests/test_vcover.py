@@ -8,10 +8,8 @@ from orientlab import (
     SolverBoundError,
     bipartition,
     build_cover_graph,
-    clique_reduce,
     gen_benchmark,
     gen_random,
-    interval_layer_clique_finder,
     lp_half_integral,
     make_cover_graph,
     make_instance,
@@ -305,58 +303,6 @@ class TestFewHyperedges:
             vc_few_hyperedges(inst, max_hyperedges=2)
 
 
-def first_triangle_finder(g):
-    for a, b in g.edges:
-        common = set(g.adjacency[a]) & set(g.adjacency[b])
-        if common:
-            return (a, b, sorted(common)[0])
-    return None
-
-
-class TestCliqueReduce:
-    def test_unit_triangle_fully_forced(self):
-        g = unit_graph([("a", "b"), ("b", "c"), ("a", "c")])
-        reduced, forced, log = clique_reduce(g, first_triangle_finder)
-        assert forced.members == {"a", "b", "c"}
-        assert forced.weight == 3.0
-        assert reduced.edges == ()
-        assert log == ((("a", "b", "c"), 1.0),)
-
-    def test_triangle_free_untouched(self):
-        g = unit_graph([("a", "b"), ("b", "c")])
-        reduced, forced, log = clique_reduce(g, first_triangle_finder)
-        assert forced.members == frozenset()
-        assert log == ()
-        assert reduced == g
-
-    def test_k4_leaves_triangle_free(self):
-        edges = [(a, b) for a, b in itertools.combinations("abcd", 2)]
-        g = unit_graph(edges)
-        reduced, forced, log = clique_reduce(g, first_triangle_finder)
-        assert first_triangle_finder(reduced) is None
-        # charging: forced cost <= sum |C| * delta
-        assert forced.weight <= sum(len(c) * d for c, d in log) + 1e-9
-
-    def test_dual_bound_on_random_layers(self):
-        rng = np.random.default_rng(10)
-        for _ in range(15):
-            n = int(rng.integers(5, 9))
-            ids = [f"v{i}" for i in range(n)]
-            weights = {v: float(rng.uniform(0.3, 2.0)) for v in ids}
-            edges = []
-            for i in range(n):
-                for j in range(i + 1, min(i + 3, n)):  # interval-ish band graph
-                    if rng.random() < 0.8:
-                        edges.append((ids[i], ids[j]))
-            g = make_cover_graph(weights, edges)
-            reduced, forced, log = clique_reduce(g, first_triangle_finder)
-            opt_original = vc_exact_small(g).weight
-            opt_reduced = vc_exact_small(reduced).weight
-            lower = sum((len(c) - 1) * d for c, d in log)
-            assert opt_original >= lower + opt_reduced - 1e-9
-            assert forced.weight <= sum(len(c) * d for c, d in log) + 1e-9
-
-
 class TestIntervalUnionDp:
     def test_single_path(self):
         g = unit_graph([("a", "b"), ("b", "c")])
@@ -430,56 +376,3 @@ class TestLpStructureProperties:
             sub = g.induced(sol.halves)
             if sol.halves:
                 assert len(sol.halves) <= 2.0 * vc_exact_small(sub).weight + 1e-9
-
-
-class TestSortingPipeline:
-    """Clique stripping plus the layered DP as the threshold black box,
-    on a single sorted overlapping set (a proper interval graph)."""
-
-    def build(self):
-        import orientlab as ol
-
-        los = [0.0, 0.3, 0.6, 0.9, 1.2]
-        verts = [uniform_vertex(f"s{i}", lo, lo + 1.0) for i, lo in enumerate(los)]
-        ids = [v.id for v in verts]
-        edges = [
-            [ids[i], ids[j]]
-            for i in range(len(ids))
-            for j in range(i + 1, len(ids))
-            if verts[i].interval.intersects(verts[j].interval)
-        ]
-        inst = ol.make_instance(verts, edges)
-        assert inst.is_reduced()
-        return inst, [ids]
-
-    def test_composite_within_guarantee(self):
-        import orientlab as ol
-        from orientlab import (
-            exact_expected_cost,
-            exact_expected_opt,
-            exact_prob_graph,
-            optimal_d,
-            run_fixed_cover,
-        )
-        from orientlab.algorithms import OfflineOracle, guaranteed_ratio
-
-        inst, layers = self.build()
-        g = build_cover_graph(inst)
-        finder = interval_layer_clique_finder(layers)
-        residual, forced, log = clique_reduce(g, finder)
-        assert first_triangle_finder(residual) is None
-        assert forced.weight <= sum(len(c) * delta for c, delta in log) + 1e-9
-
-        d = optimal_d(1.0)
-        probs = exact_prob_graph(inst).probs
-        high = {v for v in residual.vertices if probs[v] >= d}
-        lp = lp_half_integral(residual.induced([v for v in residual.vertices if v not in high]))
-        cover = vc_interval_union_dp(residual.induced(lp.halves), layers)
-        stage1 = forced.members | high | lp.ones | cover.members
-
-        oracle = OfflineOracle(inst)
-        cost = exact_expected_cost(
-            inst, lambda r: run_fixed_cover(inst, stage1, r, oracle)
-        )
-        opt = exact_expected_opt(inst)
-        assert cost <= guaranteed_ratio(1.0) * opt + 1e-9

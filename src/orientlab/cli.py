@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -30,21 +31,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _gen_params(args: argparse.Namespace) -> dict:
+_GEN_KEYS = ("eps", "eps2", "eta", "d", "p", "q", "k", "n")  # factory parameters with a flag
+
+
+def _gen_params(args: argparse.Namespace, name: str, d_flag: str) -> dict:
+    """The factory parameters of generator ``name`` given as flags; a flag
+    the factory does not take is an InstanceError naming those it takes."""
+    flag = {key: d_flag if key == "d" else f"--{key}" for key in _GEN_KEYS}
+    accepted = inspect.signature(BENCHMARKS[name]).parameters
     params = {}
-    for key, attr in (
-        ("eps", "eps"),
-        ("eps2", "eps2"),
-        ("eta", "eta"),
-        ("d", "gen_d"),
-        ("p", "p"),
-        ("q", "q"),
-        ("k", "k"),
-        ("n", "n"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            params[key] = value
+    for key in _GEN_KEYS:
+        value = getattr(args, "gen_d" if key == "d" else key)
+        if value is None:
+            continue
+        if key not in accepted:
+            takes = ", ".join(flag[p] for p in accepted)
+            raise InstanceError(f"{flag[key]} does not apply to {name}, which takes {takes}")
+        params[key] = int(value) if key == "k" and name in ("overlap-family", "hub-biclique") else value
     return params
 
 
@@ -60,10 +63,7 @@ def _add_gen_args(parser: argparse.ArgumentParser, d_flag: str) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    params = _gen_params(args)
-    if args.name in ("overlap-family", "hub-biclique") and "k" in params:
-        params["k"] = int(params["k"])
-    instance = gen_benchmark(args.name, **params)
+    instance = gen_benchmark(args.name, **_gen_params(args, args.name, "--d"))
     text = serialize_instance(instance)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -103,10 +103,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         instance = parse_instance(Path(args.instance).read_text())
         instance_id = Path(args.instance).stem
     else:
-        params = _gen_params(args)
-        if args.gen in ("overlap-family", "hub-biclique") and "k" in params:
-            params["k"] = int(params["k"])
-        instance = gen_benchmark(args.gen, **params)
+        instance = gen_benchmark(args.gen, **_gen_params(args, args.gen, "--gen-d"))
         instance_id = args.gen
     specs = _algorithm_specs(args)
     results = evaluate_all(

@@ -34,7 +34,6 @@ from .mandatory import (
     feasible_matrix,
     is_feasible,
     mandatory_matrix,
-    mandatory_set_cells,
 )
 from .model import (
     Instance,
@@ -44,8 +43,11 @@ from .model import (
     PmfCell,
     Realization,
     UncertainVertex,
+    elementary_grid,
     make_instance,
+    probability_matrix,
     reduce_instance,
+    weights_from_uniforms,
 )
 from .vcover import (
     CoverGraph,
@@ -84,6 +86,7 @@ _PLAN_TAG = 0xFFFF0001
 _BOOT_TAG = 0xFFFF0002
 _BLOCK = 4096
 _BOOT_CELLS = 1 << 16  # bootstrap gather buffer: 512 KiB of float64
+_COMPLETION_ROWS = 4096  # no smaller: up to 4,096 samples, one _edge_step per hyperedge
 
 
 class _BlockSampler:
@@ -92,52 +95,26 @@ class _BlockSampler:
     Realization i is a pure function of (master_seed, i): uniforms come
     from the counter-based stream keyed [master_seed, i // block] and the
     row i % block of a vectorized block, so results do not depend on how
-    indices are split into row ranges.  Vertex j takes its cell from
-    uniform 2j and its position in the cell from uniform 2j + 1.  Exact
-    cell-endpoint hits fall back to a per-index stream and redraw.
+    indices are split into row ranges.  They become weights through
+    :func:`weights_from_uniforms`; exact cell-endpoint hits redraw from a
+    per-index stream.
     """
 
     def __init__(self, instance: Instance, master_seed: int):
+        self.instance = instance
         self.master_seed = master_seed
         self.ids = list(instance.vertex_ids)
-        self.cells: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for vid in self.ids:
-            pmf = instance.by_id[vid].pmf
-            cum: list[float] = []
-            acc = 0.0
-            for c in pmf.cells:
-                acc += c.mass
-                cum.append(acc)
-            cum[-1] = math.inf  # guard against mass rounding below 1
-            self.cells.append(
-                (
-                    np.array(cum),
-                    np.array([c.cell.lo for c in pmf.cells]),
-                    np.array([c.cell.hi for c in pmf.cells]),
-                )
-            )
-        self.budget = 2 * len(self.ids)
         self._block = -1
         self._weights: np.ndarray | None = None
 
     def _block_weights(self, block: int, rows: int) -> np.ndarray:
         """Weights of the first ``rows`` realizations of one block."""
         rng = np.random.Generator(np.random.Philox(key=[self.master_seed, block]))
-        u = rng.random((rows, self.budget))
-        out = np.empty((rows, len(self.ids)))
-        for j, (cum, los, his) in enumerate(self.cells):
-            c = np.searchsorted(cum, u[:, 2 * j], side="right")
-            lo, hi = los[c], his[c]
-            w = lo + u[:, 2 * j + 1] * (hi - lo)
-            for row in np.flatnonzero(~((lo < w) & (w < hi))):  # pragma: no cover - measure zero
-                a, b = float(lo[row]), float(hi[row])
-                redraw = np.random.default_rng([self.master_seed, block, int(row), j])
-                x = float(w[row])
-                while not a < x < b:
-                    x = a + redraw.random() * (b - a)
-                w[row] = x
-            out[:, j] = w
-        return out
+        uniforms = rng.random((rows, 2 * len(self.ids)))
+        seed = self.master_seed
+        return weights_from_uniforms(
+            self.instance, uniforms, lambda row, j: np.random.default_rng([seed, block, row, j])
+        )
 
     def weights(self, start: int, stop: int) -> np.ndarray:
         """Weights of realizations start..stop-1: one row each, columns in
@@ -480,15 +457,32 @@ def gen_random(
 # Exact expectations by elementary-cell enumeration
 
 
-def _cell_rows(instance: Instance, max_combos: int) -> list[tuple[str, list[tuple[int, float]]]]:
-    matrix = instance.cell_table[0]
-    rows = [(vid, matrix[vid]) for vid in instance.vertex_ids]
-    combos = 1
-    for _, row in rows:
-        combos *= len(row)
-        if combos > max_combos:
-            raise SolverBoundError(f"cell combinations exceed {max_combos}")
-    return rows
+def _cell_blocks(instance: Instance, max_combos: int) -> Iterable[tuple[np.ndarray, ...]]:
+    """The joint elementary-cell assignments in ``itertools.product``
+    order over the vertices, as row blocks of probabilities, cell indices
+    and representative weights, columns in ``vertex_ids`` order.  Vertex j
+    sits at the fraction (j + 1) / (n + 1) of its cell; a probability is
+    the product of the cell masses taken in vertex order."""
+    grid = np.array(elementary_grid(instance))
+    matrix = probability_matrix(instance)
+    cells = [np.array([i for i, _ in matrix[vid]], dtype=np.intp) for vid in instance.vertex_ids]
+    masses = [np.array([m for _, m in matrix[vid]]) for vid in instance.vertex_ids]
+    sizes = list(map(len, cells))
+    combos = math.prod(sizes)
+    if combos > max_combos:
+        raise SolverBoundError(f"cell combinations exceed {max_combos}")
+    offsets = np.arange(1.0, len(sizes) + 1) / (len(sizes) + 1.0)
+    rows = _kernel_rows(instance)
+    for a in range(0, combos, rows):
+        index = np.arange(a, min(a + rows, combos))
+        probs = np.ones(len(index))
+        assigned = np.empty((len(index), len(sizes)), dtype=np.intp)
+        for j, size in enumerate(sizes):
+            digit = index // math.prod(sizes[j + 1 :]) % size
+            probs *= masses[j][digit]
+            assigned[:, j] = cells[j][digit]
+        lo = grid[assigned]
+        yield probs, assigned, lo + (grid[assigned + 1] - lo) * offsets
 
 
 def enumerate_cell_realizations(
@@ -501,37 +495,23 @@ def enumerate_cell_realizations(
     by the cell assignment alone, so averaging any cost over these
     representatives is exact.
     """
-    grid = instance.cell_table[1]
-    rows = _cell_rows(instance, max_combos)
-    ids = [vid for vid, _ in rows]
-    offsets = {vid: (j + 1.0) / (len(ids) + 1.0) for j, vid in enumerate(ids)}
-    for combo in itertools.product(*(row for _, row in rows)):
-        prob = 1.0
-        cells: dict[str, int] = {}
-        weights: dict[str, float] = {}
-        for vid, (idx, mass) in zip(ids, combo):
-            prob *= mass
-            cells[vid] = idx
-            weights[vid] = grid[idx] + (grid[idx + 1] - grid[idx]) * offsets[vid]
-        yield prob, cells, Realization(weights)
+    ids = instance.vertex_ids
+    for probs, cells, weights in _cell_blocks(instance, max_combos):
+        for prob, row_cells, row in zip(probs.tolist(), cells.tolist(), weights.tolist()):
+            yield prob, dict(zip(ids, row_cells)), Realization(dict(zip(ids, row)))
 
 
 def exact_expected_opt(instance: Instance, max_combos: int = 10**6) -> float:
-    """Expected optimal query cost by enumerating joint cell assignments."""
-    grid = instance.cell_table[1]
-    cover_graph = build_cover_graph(instance)
-    costs = instance.costs
-    memo: dict[frozenset[str], float] = {}
-    total = []
-    for prob, cells, _ in enumerate_cell_realizations(instance, max_combos):
-        mandatory = mandatory_set_cells(instance, cells, grid)
-        vc = memo.get(mandatory)
-        if vc is None:
-            rest = [v for v in instance.vertex_ids if v not in mandatory]
-            vc = vc_exact_small(cover_graph.induced(rest)).weight
-            memo[mandatory] = vc
-        total.append(prob * (math.fsum(costs[v] for v in mandatory) + vc))
-    return math.fsum(total)
+    """Expected optimal query cost by enumerating joint cell assignments:
+    :func:`mandatory_matrix` of each block of representative weights, the
+    cost of each row from the oracle, which solves each mandatory set
+    once, and one ``math.fsum`` of the probability-weighted costs."""
+    oracle, ids = OfflineOracle(instance), instance.vertex_ids
+    return math.fsum(
+        prob * oracle.solve(frozenset(itertools.compress(ids, row)))[1]
+        for probs, _, weights in _cell_blocks(instance, max_combos)
+        for prob, row in zip(probs.tolist(), mandatory_matrix(instance, weights).tolist())
+    )
 
 
 def exact_expected_cost(
@@ -983,7 +963,11 @@ def _query_sets(policy: Policy, batch: _PairedBatch) -> tuple[np.ndarray, np.nda
             start = _leaves_first_stage1(instance, weights)
         else:
             start = np.broadcast_to(batch.mask(policy.stage1), weights.shape)
-        queried = completion_matrix(instance, weights, start, batch.patterns[batch.pattern])
+        queried = np.empty(weights.shape, dtype=bool)
+        for a in range(0, len(weights), _COMPLETION_ROWS):
+            rows = slice(a, a + _COMPLETION_ROWS)
+            mandatory = batch.patterns[batch.pattern[rows]]
+            queried[rows] = completion_matrix(instance, weights[rows], start[rows], mandatory)
     index, first = _number_rows(queried)
     return queried[first], index
 

@@ -15,12 +15,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import Instance, Realization, elementary_grid
+from .model import Instance, Realization, weights_from_uniforms
 
 __all__ = [
     "MandatoryProfile",
     "mandatory_set",
-    "mandatory_set_cells",
     "mandatory_matrix",
     "is_feasible",
     "feasible_matrix",
@@ -89,45 +88,6 @@ def mandatory_set(instance: Instance, realization: Realization) -> frozenset[str
                 out.add(u)
             if m not in out and interval_m.lo < weights[u] < interval_m.hi:
                 out.add(m)
-    return frozenset(out)
-
-
-def mandatory_set_cells(
-    instance: Instance, cells: Mapping[str, int], grid: Sequence[float] | None = None
-) -> frozenset[str]:
-    """Mandatory set when only the elementary cell of each weight is known.
-
-    ``cells[v] = i`` places w_v inside (grid[i], grid[i+1]).  Because no
-    elementary cell straddles an interval endpoint, the predicate "weight
-    inside I_v" is decided by cell containment, and the result coincides
-    with :func:`mandatory_set` on any realization with those cells.
-    """
-    if grid is None:
-        grid = elementary_grid(instance)
-    out: set[str] = set()
-
-    def covered(vid: str, cell: int) -> bool:
-        iv = instance.interval(vid)
-        return iv.lo <= grid[cell] and grid[cell + 1] <= iv.hi
-
-    for members in instance.hyperedges:
-        min_cell = min(cells[u] for u in members)
-        in_min = [u for u in members if cells[u] == min_cell]
-        if len(in_min) >= 2:
-            out.update(u for u in members if covered(u, min_cell))
-            continue
-        m = in_min[0]
-        for u in members:
-            if u != m and covered(u, min_cell):
-                out.add(u)
-        interval_m = instance.interval(m)
-        if any(
-            u != m
-            and interval_m.lo <= grid[cells[u]]
-            and grid[cells[u] + 1] <= interval_m.hi
-            for u in members
-        ):
-            out.add(m)
     return frozenset(out)
 
 
@@ -417,30 +377,21 @@ def hoeffding_sample_count(epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2))
 
 
-def _sample_mandatory_cells(
-    instance: Instance, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-vertex mandatory counts over ``count`` sampled joint
-    elementary-cell assignments.
+def _sample_mandatory_counts(instance: Instance, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-vertex mandatory counts over ``count`` realizations.
 
-    Each weight sits at its cell's midpoint; inside a cell the mandatory
-    set does not depend on the position (see :func:`mandatory_set_cells`).
-    The rows run through :func:`mandatory_matrix` in row blocks, so memory
-    beyond the count x n weights does not grow with ``count``.
+    Each row block is :func:`weights_from_uniforms` of
+    ``rng.random((rows, 2n))`` through :func:`mandatory_matrix`; the
+    blocks' draws concatenate to one ``rng.random((count, 2n))``, and
+    memory does not grow with ``count``.
     """
-    matrix, grid = instance.cell_table
-    grid = np.array(grid)
-    mid = (grid[:-1] + grid[1:]) / 2.0
-    weights = np.empty((count, len(instance.vertices)))
-    for j, vid in enumerate(instance.vertex_ids):
-        row = matrix[vid]
-        idx = np.array([i for i, _ in row], dtype=np.int64)
-        cum = np.cumsum([p for _, p in row])
-        cum[-1] = 1.0 + 1e-12  # guard against mass rounding below 1
-        u = rng.random(count)
-        weights[:, j] = mid[idx[np.searchsorted(cum, u, side="right")]]
-    blocks = range(0, count, _PLAN_ROWS)
-    return sum(mandatory_matrix(instance, weights[a : a + _PLAN_ROWS]).sum(axis=0) for a in blocks)
+    counts = np.zeros(len(instance.vertices), dtype=np.int64)
+    for a in range(0, count, _PLAN_ROWS):
+        shape = (min(_PLAN_ROWS, count - a), 2 * len(instance.vertices))
+        # the uniforms are freed before the kernel runs
+        weights = weights_from_uniforms(instance, rng.random(shape), lambda row, j: rng)
+        counts += mandatory_matrix(instance, weights).sum(axis=0)
+    return counts
 
 
 def estimate_prob(
@@ -452,13 +403,13 @@ def estimate_prob(
 ) -> float:
     """Estimate the mandatory probability of one vertex by sampling.
 
-    Draws ceil(ln(2/delta) / (2 epsilon^2)) joint cell assignments at
-    elementary-interval granularity and returns the mandatory fraction;
-    the Hoeffding bound gives P[|estimate - p| >= epsilon] <= delta.
+    Draws ceil(ln(2/delta) / (2 epsilon^2)) realizations and returns the
+    mandatory fraction; the Hoeffding bound gives
+    P[|estimate - p| >= epsilon] <= delta.
     """
     k = hoeffding_sample_count(epsilon, delta)
     column = instance.vertex_ids.index(vid)
-    return int(_sample_mandatory_cells(instance, k, rng)[column]) / k
+    return int(_sample_mandatory_counts(instance, k, rng)[column]) / k
 
 
 def estimate_profile(
@@ -474,7 +425,7 @@ def estimate_profile(
     correlated across vertices.
     """
     k = hoeffding_sample_count(epsilon, delta)
-    counts = _sample_mandatory_cells(instance, k, rng)
+    counts = _sample_mandatory_counts(instance, k, rng)
     probs = {vid: int(c) / k for vid, c in zip(instance.vertex_ids, counts)}
     return MandatoryProfile(
         probs, method="sampled", epsilon=epsilon, delta=delta, sample_count=k

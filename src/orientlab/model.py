@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "reduce_instance",
     "elementary_grid",
     "probability_matrix",
+    "weights_from_uniforms",
     "sample_realization",
 ]
 
@@ -187,9 +188,15 @@ class Instance:
         return {v.id: v.cost for v in self.vertices}
 
     @cached_property
-    def cell_table(self) -> tuple[dict[str, list[tuple[int, float]]], tuple[float, ...]]:
-        """``(probability_matrix(self), elementary_grid(self))``, built once."""
-        return probability_matrix(self), elementary_grid(self)
+    def pmf_table(self) -> tuple[tuple[list[float], np.ndarray, np.ndarray], ...]:
+        """Per vertex, in ``vertex_ids`` order: the cumulative masses of its
+        pmf cells but the last, summed in cell order, and the cells' lower
+        and upper ends."""
+        table = []
+        for v in self.vertices:
+            cum = np.cumsum([c.mass for c in v.pmf.cells[:-1]]).tolist()
+            table.append((cum, *np.array([(c.cell.lo, c.cell.hi) for c in v.pmf.cells]).T))
+        return tuple(table)
 
     @cached_property
     def graph_neighbors(self) -> dict[str, tuple[str, ...]]:
@@ -438,27 +445,40 @@ def probability_matrix(
 # Sampling
 
 
-def _sample_weight(v: UncertainVertex, rng: np.random.Generator) -> float:
-    u = rng.random()
-    acc = 0.0
-    cell = v.pmf.cells[-1].cell
-    for c in v.pmf.cells:
-        acc += c.mass
-        if u < acc:
-            cell = c.cell
-            break
-    # Exact endpoint hits are measure zero but possible in floating point;
-    # resample so weights stay strictly interior.
-    while True:
-        w = cell.lo + rng.random() * cell.length
-        if cell.lo < w < cell.hi:
-            return w
+def weights_from_uniforms(
+    instance: Instance, uniforms: np.ndarray, redraw: Callable[[int, int], np.random.Generator]
+) -> np.ndarray:
+    """The one map from uniforms to weights: rows x 2n uniforms in [0, 1)
+    in, rows x n weights out, columns in ``vertex_ids`` order.  Vertex j
+    takes its pmf cell from uniform 2j, the first cell whose cumulative
+    mass exceeds it, and its position in the cell from uniform 2j + 1.
+    Exact cell-endpoint hits, measure zero but possible in floating point,
+    are redrawn from ``redraw(row, j)`` until strictly interior."""
+    out = np.empty((len(uniforms), len(instance.vertices)))
+    # a column at a time keeps the temporaries small
+    for j, ((cum, los, his), w) in enumerate(zip(instance.pmf_table, out.T)):
+        cell = np.zeros(len(uniforms), dtype=np.intp)
+        for mass in cum:  # counting the masses passed beats np.searchsorted
+            cell += uniforms[:, 2 * j] >= mass
+        lo, hi = los[cell], his[cell]
+        np.subtract(hi, lo, out=w)
+        w *= uniforms[:, 2 * j + 1]
+        w += lo  # lo + u (hi - lo)
+        for row in np.flatnonzero(~((lo < w) & (w < hi))).tolist():  # pragma: no cover
+            rng = redraw(row, j)
+            while not lo[row] < w[row] < hi[row]:
+                w[row] = lo[row] + rng.random() * (hi[row] - lo[row])
+    return out
 
 
 def sample_realization(instance: Instance, rng: np.random.Generator) -> Realization:
-    """Draw an independent weight for every vertex.
+    """Draw an independent weight for every vertex: one row of
+    :func:`weights_from_uniforms` on ``rng.random((1, 2n))``, endpoint hits
+    redrawn from ``rng``.
 
     The same seeded generator yields the identical realization; callers
     running batches derive one stream per realization index.
     """
-    return Realization({v.id: _sample_weight(v, rng) for v in instance.vertices})
+    uniforms = rng.random((1, 2 * len(instance.vertices)))
+    row = weights_from_uniforms(instance, uniforms, lambda row, j: rng)[0]
+    return Realization(dict(zip(instance.vertex_ids, row.tolist())))

@@ -20,7 +20,6 @@ from orientlab import (
     hyper_threshold,
     is_feasible,
     mandatory_set,
-    mandatory_set_cells,
     optimal_d,
     run_adversarial_baseline,
     run_fixed_cover,
@@ -393,7 +392,13 @@ class TestRunInvariants:
                         for combo in it.product(*(supports[v] for v in free)):
                             cells = dict(zip(free, combo))
                             cells.update(revealed_cells)
-                            assert step.vertex in mandatory_set_cells(inst, cells, grid)
+                            # one interior weight per cell decides M
+                            # (TestCellLogic in test_mandatory.py)
+                            weights = {
+                                v: grid[c] + (grid[c + 1] - grid[c]) * (j + 1) / (len(cells) + 1)
+                                for j, (v, c) in enumerate(sorted(cells.items()))
+                            }
+                            assert step.vertex in mandatory_set(inst, Realization(weights))
                     revealed_cells[step.vertex] = actual_cells[step.vertex]
 
     def test_partition_superadditivity_per_realization(self):

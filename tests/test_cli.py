@@ -57,6 +57,28 @@ class TestGenerate:
         assert {v["id"] for v in doc["vertices"]} == {"v0", "v1"}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["run", "--gen", "star-trap", "--eps", "0.02"],
+            "--eps does not apply to star-trap, which takes --gen-d, --n, --eta",
+        ),
+        (
+            ["run", "--gen", "staircase", "--eps", "0.02"],
+            "--eps does not apply to staircase, which takes --n",
+        ),
+        (["run", "--gen", "fork", "--n", "3"], "--n does not apply to fork, which takes --eps"),
+        (["generate", "fork", "--n", "3"], "--n does not apply to fork, which takes --eps"),
+    ],
+)
+def test_generator_flag_the_generator_does_not_take_exits_2(argv, message, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"orientlab: {message}\n"
+
+
 class TestRun:
     def test_run_three_algorithms(self, tmp_path, capsys):
         path = tmp_path / "fork.json"

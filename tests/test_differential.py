@@ -24,16 +24,15 @@ from orientlab import (
     PmfCell,
     UncertainVertex,
     build_cover_graph,
-    elementary_grid,
     gen_benchmark,
     gen_random,
     is_feasible,
     make_instance,
     mandatory_set,
-    mandatory_set_cells,
     run_fixed_cover,
     run_leaves_first,
     run_two_stage_prefix,
+    sample_realization,
     vc_exact_small,
 )
 from orientlab.harness import (
@@ -51,6 +50,7 @@ from orientlab.mandatory import (
     feasible_matrix,
     mandatory_matrix,
 )
+from orientlab.model import weights_from_uniforms
 
 N = 150
 SEED = 11
@@ -109,9 +109,6 @@ def test_kernels_match_scalar_reference(instance):
     sampler = _BlockSampler(instance, SEED)
     weights = sampler.weights(0, N)
     mandatory = mandatory_matrix(instance, weights)
-    grid = np.array(elementary_grid(instance))
-    cells = np.searchsorted(grid, weights) - 1
-    by_midpoint = mandatory_matrix(instance, (grid[cells] + grid[cells + 1]) / 2.0)
     rng = np.random.default_rng(SEED)
     queried = rng.random(weights.shape) < 0.7
     feasible = feasible_matrix(instance, weights, queried)
@@ -120,10 +117,17 @@ def test_kernels_match_scalar_reference(instance):
         r = sampler.realization(i)
         assert weights[i].tolist() == [r[v] for v in ids]
         assert _members(instance, mandatory[i]) == mandatory_set(instance, r)
-        assignment = dict(zip(ids, cells[i].tolist()))
-        by_cells = mandatory_set_cells(instance, assignment, tuple(grid))
-        assert _members(instance, by_midpoint[i]) == by_cells
         assert feasible[i] == is_feasible(instance, r, _members(instance, queried[i]))
+
+
+@pytest.mark.parametrize("instance", [c for _, c in CASES], ids=IDS)
+def test_sample_realization_is_one_row_of_the_weight_map(instance):
+    n = len(instance.vertices)
+    for seed in range(5):
+        r = sample_realization(instance, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        row = weights_from_uniforms(instance, rng.random((1, 2 * n)), lambda row, j: rng)[0]
+        assert [r[v] for v in instance.vertex_ids] == row.tolist()
 
 
 @pytest.mark.parametrize("instance", [c for _, c in CASES], ids=IDS)

@@ -31,7 +31,6 @@ from orientlab import (
     vc_interval_union_dp,
 )
 from orientlab import algorithms, harness, mandatory, model
-from orientlab.model import elementary_grid, probability_matrix
 from orientlab.harness import (
     _BOOT_TAG,
     _BlockSampler,
@@ -619,13 +618,29 @@ def test_sampled_weights_are_written_into_one_array():
     assert weights.tobytes() == np.concatenate(rows).tobytes()
 
 
-def test_cell_table_is_the_probability_matrix_and_grid():
-    for inst in (gen_benchmark("fork"), gen_random("hypergraph", 5, n=8, m=4, unit_cost=False)):
-        assert inst.cell_table == (probability_matrix(inst), elementary_grid(inst))
-        assert inst.cell_table is inst.cell_table
+def test_completion_memory_does_not_grow_with_the_samples():
+    # baseline on one edge: the adaptive completion of every row
+    inst = make_instance(
+        [uniform_vertex("a", 0.0, 2.0, 1.5), uniform_vertex("b", 1.0, 3.0)], [("a", "b")]
+    )
+    policy = _plan(AlgorithmSpec("baseline"), inst, 1)
+    harness._query_sets(policy, harness._PairedBatch(inst, 1, 1000, 24))
+    batch = harness._PairedBatch(inst, 1, 100_000, 24)
+    tracemalloc.start()
+    try:
+        sets, index = harness._query_sets(policy, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 4.2 MiB in 4,096-row blocks; 10.7 MiB in one 100,000-row block
+    assert peak < 6 * 2**20
+    start = np.zeros(batch.weights.shape, dtype=bool)
+    mandatory_rows = batch.patterns[batch.pattern]
+    one_call = mandatory.completion_matrix(inst, batch.weights, start, mandatory_rows)
+    assert np.array_equal(sets[index], one_call)
 
 
-def test_hypergraph_evaluation_builds_one_cell_table(monkeypatch):
+def test_hypergraph_evaluation_builds_no_cell_table(monkeypatch):
     inst = gen_random("hypergraph", 11, n=12, m=5, max_size=4, unit_cost=False)
     specs = [AlgorithmSpec("threshold-hyper"), AlgorithmSpec("bestvc"), AlgorithmSpec("baseline")]
     calls = []
@@ -639,4 +654,4 @@ def test_hypergraph_evaluation_builds_one_cell_table(monkeypatch):
         if hasattr(module, "probability_matrix"):
             monkeypatch.setattr(module, "probability_matrix", counted)
     harness.evaluate_all(inst, specs, 500, 7)
-    assert len(calls) == 1
+    assert calls == []  # sampling, planning included, needs only the pmf table

@@ -19,12 +19,12 @@ from orientlab import (
     is_feasible,
     make_instance,
     mandatory_set,
-    mandatory_set_cells,
     probability_matrix,
     sample_realization,
 )
-from orientlab.harness import BENCHMARKS
-from orientlab.mandatory import _edge_state, _sample_mandatory_cells, mandatory_matrix
+from orientlab.harness import BENCHMARKS, _cell_blocks
+from orientlab.mandatory import _edge_state, _sample_mandatory_counts, mandatory_matrix
+from orientlab.model import weights_from_uniforms
 from test_model import uniform_vertex, vertex
 
 
@@ -179,30 +179,54 @@ class TestExactProb:
             assert abs(counts[v] / n - p) <= 4 * sigma + 1e-9
 
 
+def _enumerable_cases():
+    """Every named benchmark, staircase and star-trap at 4 vertices, and
+    the random families at 5 vertices: few enough cell combinations to
+    enumerate them all."""
+    small = {"staircase": {"n": 4}, "star-trap": {"n": 4}}
+    cases = [gen_benchmark(name, **small.get(name, {})) for name in sorted(BENCHMARKS)]
+    rng = np.random.default_rng(2025)
+    families = (
+        ("gnp", {"n": 5, "p": 0.5}),
+        ("hypergraph", {"n": 5, "m": 3}),
+        ("bipartite", {"nl": 2, "nr": 3}),
+        ("star", {"n": 4}),
+    )
+    for family, params in families:
+        for unit_cost in (True, False):
+            cases.append(gen_random(family, rng, unit_cost=unit_cost, **params))
+    return cases
+
+
 class TestCellLogic:
     def test_cells_match_continuous(self):
+        """Cells decide M: on every joint cell assignment,
+        :func:`mandatory_set` at two random interior positions in the same
+        cells agrees with :func:`mandatory_matrix` on the enumeration's
+        representative weights."""
         rng = np.random.default_rng(5)
-        for i in range(60):
-            fam = ("gnp", "hypergraph")[i % 2]
-            inst = gen_random(fam, rng, n=5, m=3, p=0.5)
-            grid = elementary_grid(inst)
-            r = sample_realization(inst, rng)
-            cells = {}
-            for vid in inst.vertex_ids:
-                w = r[vid]
-                cells[vid] = max(j for j in range(len(grid) - 1) if grid[j] < w)
-            assert mandatory_set_cells(inst, cells, grid) == mandatory_set(inst, r)
+        for inst in _enumerable_cases():
+            grid = np.array(elementary_grid(inst))
+            for _, cells, reps in _cell_blocks(inst, 10**4):
+                expect = mandatory_matrix(inst, reps).tolist()
+                lo, width = grid[cells], grid[cells + 1] - grid[cells]
+                for _ in range(2):
+                    moved = lo + width * rng.uniform(0.01, 0.99, size=cells.shape)
+                    for row, mandatory in zip(moved.tolist(), expect):
+                        r = Realization(dict(zip(inst.vertex_ids, row)))
+                        expect_set = {v for v, hit in zip(inst.vertex_ids, mandatory) if hit}
+                        assert mandatory_set(inst, r) == expect_set
 
     def test_shared_minimum_cell_makes_all_covering_mandatory(self):
         inst = make_instance(
             [uniform_vertex("a", 0, 2), uniform_vertex("b", 0, 2), uniform_vertex("c", 1, 3)],
             [["a", "b", "c"]],
         )
-        grid = elementary_grid(inst)  # (0, 1, 2, 3)
-        # a and b both in (0, 1): both mandatory, c not (cell outside I_c)
-        assert mandatory_set_cells(inst, {"a": 0, "b": 0, "c": 2}, grid) == {"a", "b"}
-        # a and b in (1, 2) which sits inside all three intervals
-        assert mandatory_set_cells(inst, {"a": 1, "b": 1, "c": 2}, grid) == {"a", "b", "c"}
+        for a, b in ((0.3, 0.6), (0.6, 0.3)):
+            # a and b both in (0, 1): both mandatory, c not (cell outside I_c)
+            assert mandatory_set(inst, weights(a=a, b=b, c=2.5)) == {"a", "b"}
+            # a and b in (1, 2), which sits inside all three intervals
+            assert mandatory_set(inst, weights(a=1 + a, b=1 + b, c=2.5)) == {"a", "b", "c"}
 
 
 class TestEstimation:
@@ -243,23 +267,16 @@ class TestEstimation:
 
 
 # ---------------------------------------------------------------------------
-# Sampled planning against the one-shot formula
+# Sampled planning against one call of the weight map
 
 
-def _mandatory_cells_reference(instance, count, rng):
-    """The mandatory matrix of ``count`` sampled cell assignments, built in
-    one shot: a matrix of cell indices, then weights at the midpoints
-    (grid[c] + grid[c + 1]) / 2 through one :func:`mandatory_matrix` call."""
-    matrix = probability_matrix(instance)
-    cells = np.empty((count, len(instance.vertices)), dtype=np.int64)
-    for j, vid in enumerate(instance.vertex_ids):
-        row = matrix[vid]
-        idx = np.array([i for i, _ in row], dtype=np.int64)
-        cum = np.cumsum([p for _, p in row])
-        cum[-1] = 1.0 + 1e-12
-        cells[:, j] = idx[np.searchsorted(cum, rng.random(count), side="right")]
-    grid = np.array(elementary_grid(instance))
-    return mandatory_matrix(instance, (grid[cells] + grid[cells + 1]) / 2.0)
+def _one_map_call(instance, count, rng):
+    """Per-vertex mandatory counts of ``count`` realizations drawn in one
+    shot: ``rng.random((count, 2n))`` through one
+    :func:`weights_from_uniforms` and one :func:`mandatory_matrix` call."""
+    uniforms = rng.random((count, 2 * len(instance.vertices)))
+    weights = weights_from_uniforms(instance, uniforms, lambda row, j: rng)
+    return mandatory_matrix(instance, weights).sum(axis=0)
 
 
 def _sampled_cases():
@@ -275,11 +292,11 @@ def _sampled_cases():
 @pytest.mark.parametrize("instance", _sampled_cases())
 def test_sampled_planning_matches_one_shot_reference(instance):
     for count in (4095, 4096, 4097, 6792):
-        got = _sample_mandatory_cells(instance, count, np.random.default_rng(count))
-        expect = _mandatory_cells_reference(instance, count, np.random.default_rng(count))
-        assert np.array_equal(got, expect.sum(axis=0))
+        got = _sample_mandatory_counts(instance, count, np.random.default_rng(count))
+        expect = _one_map_call(instance, count, np.random.default_rng(count))
+        assert np.array_equal(got, expect)
     k = hoeffding_sample_count(0.02, 0.01)  # 6623 rows: two blocks
-    expect = _mandatory_cells_reference(instance, k, np.random.default_rng(3)).sum(axis=0)
+    expect = _one_map_call(instance, k, np.random.default_rng(3))
     profile = estimate_profile(instance, 0.02, 0.01, np.random.default_rng(3))
     assert profile.probs == {v: int(c) / k for v, c in zip(instance.vertex_ids, expect)}
     last = instance.vertex_ids[-1]
@@ -289,7 +306,7 @@ def test_sampled_planning_matches_one_shot_reference(instance):
 def test_estimate_profile_memory_does_not_grow_with_the_sample_count():
     instance = gen_random("hypergraph", 12, n=12, m=5, max_size=4, unit_cost=False)
     k = hoeffding_sample_count(0.005, 0.01)  # 105,967 rows
-    weights_bytes = k * len(instance.vertices) * 8
+    assert k * len(instance.vertices) * 8 > 9 * 2**20  # the k x n weights
     estimate_profile(instance, 0.05, 0.1, np.random.default_rng(1))
     tracemalloc.start()
     try:
@@ -297,7 +314,8 @@ def test_estimate_profile_memory_does_not_grow_with_the_sample_count():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < weights_bytes + 4 * 2**20
+    # about 2.8 MiB in 4,096-row blocks: no k x n matrix is ever held
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

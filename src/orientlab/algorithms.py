@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .mandatory import (
     MandatoryProfile,
@@ -135,10 +135,17 @@ class RunOutcome:
 
 
 class OfflineOracle:
-    """Optimal query cost per realization, with cover results memoized.
+    """Optimal query cost per realization, memoized per mandatory set.
 
-    The optimum is the mandatory set plus a minimum-weight cover of the
-    cover graph induced on the non-mandatory vertices.
+    The optimum is the mandatory set M plus a minimum-weight cover of the
+    cover graph induced on the non-mandatory vertices.  The oracle keeps
+    the cover graph as neighbour bitmasks, bit j for ``vertex_ids[j]``
+    (Python ints, so any vertex count), splits G - M into components by
+    a bit BFS, and solves each component once with :func:`vc_exact_small`
+    (its size bound, message and tie-break), memoized in a dict the
+    oracle owns.  Components come in the order of their least vertex id,
+    which is the order in which :func:`vc_exact_small` on all of G - M
+    meets them, so the bound trips on the same component.
     """
 
     def __init__(self, instance: Instance, vc_bound: int = 24, check: bool = True):
@@ -146,18 +153,61 @@ class OfflineOracle:
         self.vc_bound = vc_bound
         self.check = check
         self.cover_graph = build_cover_graph(instance)
-        self._memo: dict[frozenset[str], tuple[frozenset[str], float]] = {}
+        column = {v: j for j, v in enumerate(instance.vertex_ids)}
+        self._bit = {v: 1 << j for v, j in column.items()}
+        self._all = (1 << len(column)) - 1
+        self._neighbors = [0] * len(column)  # column -> neighbour bits
+        for a, b in self.cover_graph.edges:
+            self._neighbors[column[a]] |= self._bit[b]
+            self._neighbors[column[b]] |= self._bit[a]
+        self._memo: dict[int, tuple[frozenset[str], float]] = {}  # M -> optimum
+        self._covers: dict[int, int] = {}  # component -> its cover
 
     def solve(self, mandatory: frozenset[str]) -> tuple[frozenset[str], float]:
         """Optimal query set and its cost for any realization whose
         mandatory set is ``mandatory``."""
+        return self.solve_bits(sum(self._bit[v] for v in mandatory))
+
+    def solve_bits(self, mandatory: int) -> tuple[frozenset[str], float]:
+        """:meth:`solve` for the mandatory set whose bit j marks
+        ``vertex_ids[j]``."""
         hit = self._memo.get(mandatory)
         if hit is None:
-            rest = [v for v in self.instance.vertex_ids if v not in mandatory]
-            cover = vc_exact_small(self.cover_graph.induced(rest), self.vc_bound)
-            members = mandatory | cover.members
-            hit = (members, math.fsum(self.instance.costs[v] for v in members))
+            members = mandatory
+            for comp in self._components(self._all & ~mandatory):
+                # a lone vertex needs no cover; only a bound below 1 rejects it
+                if comp & (comp - 1) or self.vc_bound < 1:
+                    members |= self._cover(comp)
+            names = frozenset(self._names(members))
+            hit = (names, math.fsum(self.instance.costs[v] for v in names))
             self._memo[mandatory] = hit
+        return hit
+
+    def _names(self, bits: int) -> list[str]:
+        return [v for v, bit in self._bit.items() if bits & bit]
+
+    def _components(self, rest: int) -> Iterator[int]:
+        """The components of the cover graph induced on ``rest``, by
+        least vertex."""
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= self._neighbors[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & rest & ~comp
+                comp |= frontier
+            yield comp
+            rest &= ~comp
+
+    def _cover(self, comp: int) -> int:
+        hit = self._covers.get(comp)
+        if hit is None:
+            sub = self.cover_graph.induced(self._names(comp))
+            cover = vc_exact_small(sub, self.vc_bound)
+            hit = self._covers[comp] = sum(self._bit[v] for v in cover.members)
         return hit
 
     def opt(self, realization: Realization) -> tuple[frozenset[str], float]:

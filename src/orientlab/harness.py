@@ -30,8 +30,10 @@ from .mandatory import (
     _kernel_rows,
     completion_matrix,
     estimate_profile,
+    estimate_profiles,
     exact_prob_graph,
     feasible_matrix,
+    hoeffding_sample_count,
     is_feasible,
     mandatory_matrix,
 )
@@ -109,7 +111,9 @@ class _BlockSampler:
 
     def _block_weights(self, block: int, rows: int) -> np.ndarray:
         """Weights of the first ``rows`` realizations of one block."""
-        rng = np.random.Generator(np.random.Philox(key=[self.master_seed, block]))
+        # a uint64 key: a list holding a seed of 2^63 or more goes through float
+        key = np.array([self.master_seed, block], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         uniforms = rng.random((rows, 2 * len(self.ids)))
         seed = self.master_seed
         return weights_from_uniforms(
@@ -506,11 +510,11 @@ def exact_expected_opt(instance: Instance, max_combos: int = 10**6) -> float:
     :func:`mandatory_matrix` of each block of representative weights, the
     cost of each row from the oracle, which solves each mandatory set
     once, and one ``math.fsum`` of the probability-weighted costs."""
-    oracle, ids = OfflineOracle(instance), instance.vertex_ids
+    oracle = OfflineOracle(instance)
     return math.fsum(
-        prob * oracle.solve(frozenset(itertools.compress(ids, row)))[1]
+        prob * oracle.solve_bits(bits)[1]
         for probs, _, weights in _cell_blocks(instance, max_combos)
-        for prob, row in zip(probs.tolist(), mandatory_matrix(instance, weights).tolist())
+        for prob, bits in zip(probs.tolist(), _row_bits(mandatory_matrix(instance, weights)))
     )
 
 
@@ -788,6 +792,60 @@ class Policy:
     adaptive: bool
 
 
+def _sample_request(spec: AlgorithmSpec, instance: Instance) -> tuple[float, float] | None:
+    """The (epsilon, delta) of the sampled profile a spec plans from, or
+    None when it plans from the exact one.  The profile is sampled for
+    threshold-hyper on any instance, each vertex's estimate failing with
+    probability delta_v so that all hold together with probability
+    1 - delta, and for bestvc on hypergraphs.  Raises ValueError for an
+    epsilon or delta outside (0, 1)."""
+    if spec.kind == "threshold-hyper":
+        if not 0.0 < spec.delta < 1.0:
+            raise ValueError("epsilon and delta must lie in (0, 1)")
+        delta = 1.0 - (1.0 - spec.delta) ** (1.0 / max(1, len(instance.vertices)))
+    elif spec.kind == "bestvc" and instance.kind != "graph":
+        delta = spec.delta
+    else:
+        return None
+    hoeffding_sample_count(spec.epsilon, delta)  # checks both
+    return spec.epsilon, delta
+
+
+def _profiles(
+    specs: Sequence[AlgorithmSpec], instance: Instance, master_seed: int
+) -> list[MandatoryProfile | None]:
+    """Every spec's mandatory profile, resolved in one place.
+
+    The specs that sample share one draw from the planning stream
+    ``[master_seed, _PLAN_TAG]`` (:func:`estimate_profiles`), and each
+    gets the profile it would sample alone; threshold and bestvc on a
+    graph share one exact profile; the other specs get None.  The
+    requests stop at the first spec whose epsilon or delta is invalid:
+    it and the specs after it get None, so planning it raises after the
+    specs before it are planned, as when each spec sampled its own.
+    """
+    profiles: list[MandatoryProfile | None] = [None] * len(specs)
+    requests: dict[int, tuple[float, float]] = {}
+    for i, spec in enumerate(specs):
+        try:
+            request = _sample_request(spec, instance)
+        except ValueError:
+            break
+        if request is not None:
+            requests[i] = request
+    if requests:
+        rng = np.random.default_rng([master_seed, _PLAN_TAG])
+        sampled = estimate_profiles(instance, list(requests.values()), rng)
+        for i, profile in zip(requests, sampled):
+            profiles[i] = profile
+    exact = [i for i, spec in enumerate(specs) if spec.kind in ("threshold", "bestvc")]
+    if instance.kind == "graph" and exact:
+        profile = exact_prob_graph(instance)
+        for i in exact:
+            profiles[i] = profile
+    return profiles
+
+
 def _plan(
     spec: AlgorithmSpec,
     instance: Instance,
@@ -796,24 +854,18 @@ def _plan(
 ) -> Policy:
     """Resolve a spec into its policy, once per evaluation.
 
-    Everything realization-independent (probabilities, LP, stage-1 cover,
-    sampled estimates) happens here, deterministically from the master
-    seed.  ``profile`` is the exact mandatory profile of a graph instance
-    when the caller has it; the plans that need it compute it otherwise.
-    The profile is sampled instead for threshold-hyper on any instance,
-    each vertex's estimate failing with probability delta_v so that all
-    hold together with probability 1 - delta, and for bestvc on
-    hypergraphs.
+    Everything realization-independent (probabilities, LP, stage-1 cover)
+    happens here, deterministically from the master seed.  ``profile`` is
+    the spec's mandatory profile as :func:`_profiles` resolves it, when
+    the caller has it; otherwise it is computed here: sampled from the
+    planning stream for the specs of :func:`_sample_request`, exact for
+    the others.
     """
     strategy = _auto_strategy(spec, instance)
-    if spec.kind == "threshold-hyper" or (spec.kind == "bestvc" and instance.kind != "graph"):
-        delta = spec.delta
-        if spec.kind == "threshold-hyper":
-            if not 0.0 < delta < 1.0:
-                raise ValueError("epsilon and delta must lie in (0, 1)")
-            delta = 1.0 - (1.0 - delta) ** (1.0 / max(1, len(instance.vertices)))
+    request = _sample_request(spec, instance)
+    if request is not None and profile is None:
         rng = np.random.default_rng([master_seed, _PLAN_TAG])
-        profile = estimate_profile(instance, spec.epsilon, delta, rng)
+        profile = estimate_profile(instance, *request, rng)
     if spec.kind in ("threshold", "threshold-hyper"):
         epsilon = spec.epsilon if spec.kind == "threshold-hyper" else None
         config = ThresholdConfig(spec.alpha, spec.d, strategy, epsilon)
@@ -840,6 +892,13 @@ def _plan(
     chosen = set(stage1)
     covers = all(a in chosen or b in chosen for a, b in build_cover_graph(instance).edges)
     return Policy(spec, stage1, adaptive=not covers)
+
+
+def _row_bits(masks: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int, bit j for column j."""
+    packed = np.packbits(masks, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[a : a + width], "little") for a in range(0, len(data), width)]
 
 
 def _number_rows(masks: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -878,11 +937,7 @@ class _PairedBatch:
         self.pattern, first = _number_rows(mandatory)  # realization -> pattern
         self.patterns = mandatory[first]  # pattern -> mandatory mask
         oracle = OfflineOracle(instance, vc_bound)
-        ids = instance.vertex_ids
-        optimal = [
-            self.mask(oracle.solve(frozenset(ids[j] for j in np.flatnonzero(row)))[0])
-            for row in self.patterns
-        ]
+        optimal = [self.mask(oracle.solve_bits(bits)[0]) for bits in _row_bits(self.patterns)]
         self.optimal = np.array(optimal)  # pattern -> optimal query mask
         self._scored: list[tuple[np.ndarray, np.ndarray, str]] = []
         self.opt = self.score(self.optimal, self.pattern, "offline optimum is not feasible")
@@ -1059,30 +1114,33 @@ def evaluate_all(
 
     Realization i comes from the stream (master_seed, i), and every
     policy is scored from batched query masks, so reports depend only on
-    the seed (wall_ms aside).  Every spec is planned first, so a spec
-    that cannot run fails before anything is sampled; then the
-    realizations are sampled and the optimum solved once for all specs,
-    every spec is scored, one pass checks every query set for
-    feasibility on every realization, and one bootstrap index stream
-    gives every spec its CI.  A report's wall_ms is its own plan and
-    scoring plus an equal share of the bootstrap; the first report's also
-    includes the shared profile, sample and feasibility pass.  A spec
-    whose planning, or the optimum, exceeds a solver bound gets the
-    SolverBoundError in place of its report.
+    the seed (wall_ms aside); the seed must lie in [0, 2^64).  Every
+    spec's mandatory profile is resolved first, in one place
+    (:func:`_profiles`: one planning sample serves every spec that
+    samples), and every spec is planned, so a spec that cannot run fails
+    before any realization is sampled; then the realizations are sampled
+    and the optimum solved once for all specs, every spec is scored, one
+    pass checks every query set for feasibility on every realization,
+    and one bootstrap index stream gives every spec its CI.  A report's
+    wall_ms is its own plan and scoring plus an equal share of the
+    bootstrap; the first report's also includes the shared profiles
+    (exact, and the planning sample), the realizations and optimum, and
+    the feasibility pass.  A spec whose planning, or the optimum, exceeds
+    a solver bound gets the SolverBoundError in place of its report.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"seed {master_seed} outside [0, 2^64)")
     if not instance.is_reduced():
         raise InstanceError("evaluate requires a reduced instance")
     if not instance.hyperedges:  # the only way a reduced instance has E[OPT] = 0
         raise InstanceError("E[OPT] is 0: nothing to orient")
     start = time.perf_counter()
-    profile = None
-    if instance.kind == "graph" and any(s.kind in ("threshold", "bestvc") for s in specs):
-        profile = exact_prob_graph(instance)
+    profiles = _profiles(specs, instance, master_seed)
     shared = time.perf_counter() - start
     planned: list[tuple[Policy | SolverBoundError, float]] = []
-    for spec in specs:
+    for spec, profile in zip(specs, profiles):
         start = time.perf_counter()
         try:
             policy: Policy | SolverBoundError = _plan(spec, instance, master_seed, profile)

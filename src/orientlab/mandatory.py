@@ -9,6 +9,7 @@ while the minimum's weight lies inside I_v.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -27,6 +28,7 @@ __all__ = [
     "exact_prob_graph",
     "estimate_prob",
     "estimate_profile",
+    "estimate_profiles",
     "hoeffding_sample_count",
 ]
 
@@ -377,20 +379,40 @@ def hoeffding_sample_count(epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2))
 
 
-def _sample_mandatory_counts(instance: Instance, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-vertex mandatory counts over ``count`` realizations.
+def _sample_mandatory_counts(
+    instance: Instance, stops: Sequence[int], rng: np.random.Generator
+) -> list[np.ndarray | None]:
+    """Per-vertex mandatory counts over the first k realizations of one
+    draw of ``max(stops)`` realizations, for each k in ``stops``.
 
     Each row block is :func:`weights_from_uniforms` of
     ``rng.random((rows, 2n))`` through :func:`mandatory_matrix`; the
     blocks' draws concatenate to one ``rng.random((count, 2n))``, and
-    memory does not grow with ``count``.
+    memory does not grow with the count.  The first k rows are those of
+    a draw of k realizations alone, since ``rng.random`` fills rows in
+    order, unless an endpoint redraw, which takes from ``rng`` after the
+    block's uniforms, falls in the first k rows of a block that k cuts
+    short: that k gets None.
     """
-    counts = np.zeros(len(instance.vertices), dtype=np.int64)
+    counts: list[np.ndarray | None] = [None] * len(stops)
+    total = np.zeros(len(instance.vertices), dtype=np.int64)
+    redrawn: list[int] = []
+
+    def redraw(row: int, j: int) -> np.random.Generator:
+        redrawn.append(row)
+        return rng
+
+    count = max(stops)
     for a in range(0, count, _PLAN_ROWS):
         shape = (min(_PLAN_ROWS, count - a), 2 * len(instance.vertices))
+        redrawn.clear()
         # the uniforms are freed before the kernel runs
-        weights = weights_from_uniforms(instance, rng.random(shape), lambda row, j: rng)
-        counts += mandatory_matrix(instance, weights).sum(axis=0)
+        weights = weights_from_uniforms(instance, rng.random(shape), redraw)
+        mandatory = mandatory_matrix(instance, weights)
+        for i, k in enumerate(stops):
+            if k == a + shape[0] or (a < k < a + shape[0] and min(redrawn, default=k) >= k - a):
+                counts[i] = total + mandatory[: k - a].sum(axis=0)
+        total += mandatory.sum(axis=0)
     return counts
 
 
@@ -409,7 +431,38 @@ def estimate_prob(
     """
     k = hoeffding_sample_count(epsilon, delta)
     column = instance.vertex_ids.index(vid)
-    return int(_sample_mandatory_counts(instance, k, rng)[column]) / k
+    return int(_sample_mandatory_counts(instance, [k], rng)[0][column]) / k
+
+
+def estimate_profiles(
+    instance: Instance,
+    requests: Sequence[tuple[float, float]],
+    rng: np.random.Generator,
+) -> list[MandatoryProfile]:
+    """Sampled mandatory profiles for several (epsilon, delta) requests
+    from one sample.
+
+    One draw of the largest Hoeffding count serves every request: a
+    request of k realizations counts the first k rows, which are the
+    rows it would draw alone from ``rng``, so each profile equals
+    :func:`estimate_profile` on a generator in ``rng``'s state.  The one
+    exception, an endpoint redraw inside a shorter request's last,
+    partial block, is detected, and that request alone is drawn again
+    from a copy of the starting state.  ``rng`` ends after the largest
+    request's draw.
+    """
+    stops = [hoeffding_sample_count(epsilon, delta) for epsilon, delta in requests]
+    start = copy.deepcopy(rng)
+    counts = _sample_mandatory_counts(instance, stops, rng)
+    profiles = []
+    for (epsilon, delta), k, c in zip(requests, stops, counts):
+        if c is None:
+            (c,) = _sample_mandatory_counts(instance, [k], copy.deepcopy(start))
+        probs = {vid: int(x) / k for vid, x in zip(instance.vertex_ids, c)}
+        profiles.append(
+            MandatoryProfile(probs, method="sampled", epsilon=epsilon, delta=delta, sample_count=k)
+        )
+    return profiles
 
 
 def estimate_profile(
@@ -418,15 +471,12 @@ def estimate_profile(
     delta: float,
     rng: np.random.Generator,
 ) -> MandatoryProfile:
-    """Sampled mandatory probabilities for all vertices.
+    """Sampled mandatory probabilities for all vertices: the one-request
+    case of :func:`estimate_profiles`.
 
     One batch of realizations feeds every vertex's estimate; the
     per-vertex Hoeffding guarantee is unchanged, only the errors become
     correlated across vertices.
     """
-    k = hoeffding_sample_count(epsilon, delta)
-    counts = _sample_mandatory_counts(instance, k, rng)
-    probs = {vid: int(c) / k for vid, c in zip(instance.vertex_ids, counts)}
-    return MandatoryProfile(
-        probs, method="sampled", epsilon=epsilon, delta=delta, sample_count=k
-    )
+    (profile,) = estimate_profiles(instance, [(epsilon, delta)], rng)
+    return profile

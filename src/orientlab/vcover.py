@@ -422,14 +422,12 @@ def _bb_min_cover(
     return best_weight, best_members
 
 
-_small_cache: dict[CoverGraph, tuple[float, tuple[str, ...]]] = {}
-
-
 def vc_exact_small(g: CoverGraph, max_component: int = 24) -> Cover:
     """Exact minimum-weight cover for small graphs.
 
     Connected components are solved independently; the size bound applies
-    per component.
+    per component.  Nothing is cached across calls: a caller that meets
+    the same component often memoizes it, as the offline oracle does.
     """
     members: set[str] = set()
     for comp in g.components():
@@ -440,14 +438,8 @@ def vc_exact_small(g: CoverGraph, max_component: int = 24) -> Cover:
         if len(comp) == 1:
             continue
         sub = g.induced(comp)
-        hit = _small_cache.get(sub)
-        if hit is None:
-            adjacency = {v: set(sub.adjacency[v]) for v in sub.vertices}
-            hit = _bb_min_cover(adjacency, sub.weights)
-            if len(_small_cache) > 200_000:
-                _small_cache.clear()
-            _small_cache[sub] = hit
-        members.update(hit[1])
+        adjacency = {v: set(sub.adjacency[v]) for v in sub.vertices}
+        members.update(_bb_min_cover(adjacency, sub.weights)[1])
     result = _cover(g.weights, members)
     result.validate(g)
     return result

@@ -165,6 +165,26 @@ class TestRun:
         assert out == ""
         assert err == "orientlab: epsilon and delta must lie in (0, 1)\n"
 
+    def test_seeds_at_or_above_2_63_stay_distinct(self, capsys):
+        def means(seed):
+            argv = ["run", "--gen", "fork", "--samples", "2000", "--seed", str(seed)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_main(argv, capsys)
+            assert code == 0
+            assert err == ""
+            return [line.split(",")[5:7] for line in out.splitlines()[1:]]
+
+        # a float cast of the Philox key made these two seeds one stream
+        assert means(2**63) != means(2**63 + 1)
+
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_uint64_exits_2(self, seed, capsys):
+        code, out, err = run_main(["run", "--gen", "fork", "--samples", "100", "--seed", seed], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"orientlab: seed {seed} outside [0, 2^64)\n"
+
     def test_seed_makes_output_byte_identical(self, capsys):
         args = [
             "run", "--gen", "overlap-pair", "--p", "0.3", "--q", "0.5",

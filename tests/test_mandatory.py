@@ -25,7 +25,7 @@ from orientlab import (
 from orientlab.harness import BENCHMARKS, _cell_blocks
 from orientlab.mandatory import _edge_state, _sample_mandatory_counts, mandatory_matrix
 from orientlab.model import weights_from_uniforms
-from test_model import uniform_vertex, vertex
+from test_model import successive_draws, uniform_vertex, vertex
 
 
 @pytest.fixture(scope="module")
@@ -151,9 +151,8 @@ class TestExactProb:
         p_v = exact_prob_graph(inst).probs["v"]
         assert p_v == pytest.approx(1 - 0.7 * 0.5, abs=1e-15)
         # cross-check against the sampled mandatory frequency
-        rng = np.random.default_rng(3)
         n = 100_000
-        hits = sum("v" in mandatory_set(inst, sample_realization(inst, rng)) for _ in range(n))
+        hits = sum("v" in mandatory_set(inst, Realization(r)) for r in successive_draws(inst, 3, n))
         sigma = math.sqrt(p_v * (1 - p_v) / n)
         assert abs(hits / n - p_v) <= 4 * sigma
 
@@ -292,7 +291,7 @@ def _sampled_cases():
 @pytest.mark.parametrize("instance", _sampled_cases())
 def test_sampled_planning_matches_one_shot_reference(instance):
     for count in (4095, 4096, 4097, 6792):
-        got = _sample_mandatory_counts(instance, count, np.random.default_rng(count))
+        (got,) = _sample_mandatory_counts(instance, [count], np.random.default_rng(count))
         expect = _one_map_call(instance, count, np.random.default_rng(count))
         assert np.array_equal(got, expect)
     k = hoeffding_sample_count(0.02, 0.01)  # 6623 rows: two blocks

@@ -21,6 +21,7 @@ from orientlab import (
     sample_realization,
     serialize_instance,
 )
+from orientlab.model import weights_from_uniforms
 
 FORK_DOC = json.dumps(
     {
@@ -65,6 +66,28 @@ def vertex(vid, lo, hi, cells, cost=1.0):
 
 def uniform_vertex(vid, lo, hi, cost=1.0):
     return vertex(vid, lo, hi, [(lo, hi, 1.0)], cost)
+
+
+def successive_draws(inst, seed, count, checked=200):
+    """The weights of ``count`` successive ``sample_realization`` draws from
+    ``np.random.default_rng(seed)``, made in one map call on
+    ``rng.random((count, 2n))``.  The two agree while no cell endpoint is
+    redrawn, so the redraw callback must never fire; the first
+    ``checked`` rows are compared with real draws."""
+    rng = np.random.default_rng(seed)
+    redrawn = []
+
+    def redraw(row, j):
+        redrawn.append((row, j))
+        return rng
+
+    weights = weights_from_uniforms(inst, rng.random((count, 2 * len(inst.vertices))), redraw)
+    assert redrawn == []
+    rows = [dict(zip(inst.vertex_ids, row)) for row in weights.tolist()]
+    rng = np.random.default_rng(seed)
+    for row in rows[:checked]:
+        assert sample_realization(inst, rng).weights == row
+    return rows
 
 
 class TestParse:
@@ -213,10 +236,7 @@ class TestSampling:
 
     def test_fork_marginal(self):
         inst = parse_instance(FORK_DOC)
-        rng = np.random.default_rng(123)
-        hits = sum(
-            1.0 < sample_realization(inst, rng)["x"] < 2.0 for _ in range(100_000)
-        )
+        hits = sum(1.0 < r["x"] < 2.0 for r in successive_draws(inst, 123, 100_000))
         assert abs(hits / 100_000 - 0.5) < 0.01
 
     def test_determinism(self):

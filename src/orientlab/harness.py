@@ -1074,28 +1074,38 @@ def _bootstrap_ci(
     resamples depend only on the seed and the sample count, so one index
     stream and one set of OPT resample sums serve every algorithm, and
     each interval is the one that algorithm would get alone.  The indices
-    are drawn 64 or more resamples at a time (numpy's bounded int32 draw
-    buffers nothing between calls), so memory does not grow with
-    resamples x blocks.
+    are drawn 32 or more resamples at a time (numpy's bounded draws below
+    2^32 buffer nothing between calls, and int64 draws take the same
+    values as int32 ones), so memory does not grow with resamples x
+    blocks.
     """
     rng = np.random.default_rng([master_seed, _BOOT_TAG])
     blocks = min(len(opt), 1000)
-    sums = np.stack([_block_sums(x, blocks) for x in (opt, *algs)])
-    # Gather and sum a few resamples at a time into one reused buffer: each
-    # resample sum is still one contiguous row sum, and no call faults in
-    # megabytes of fresh pages.  The indices are in range, so mode="clip"
-    # changes no value; it spares np.take a buffered copy of ``out``.
-    step = max(1, _BOOT_CELLS // (blocks * len(sums)))
-    draw = step * -(-64 // step)  # resamples per index draw, a multiple of step
-    gathered = np.empty((len(sums), min(step, resamples), blocks))
+    sums = [_block_sums(x, blocks) for x in (opt, *algs)]
+    # The block sums sit side by side, zero-padded, in tables of width 2
+    # or 4, so one index fetches one table row: np.take copies 16- and
+    # 32-byte items several times faster than 8-, 24- or 64-byte ones.
+    width = 2 if len(sums) <= 2 else 4
+    tables = np.zeros((-(-len(sums) // width), blocks, width))
+    for j, x in enumerate(sums):
+        tables[j // width, :, j % width] = x
+    # Gather and sum a few resamples at a time into one reused buffer, so
+    # no call faults in megabytes of fresh pages.  numpy reduces a strided
+    # column with the pairwise summation of a contiguous row, so each
+    # total is bit for bit that of the resample's block sums alone.  The
+    # indices are in range: mode="clip" spares np.take a buffered copy.
+    step = max(1, _BOOT_CELLS // tables.size)
+    draw = step * -(-32 // step)  # resamples per index draw, a multiple of step
+    values = np.empty((len(tables), min(step, resamples), blocks, width))
     totals = np.empty((len(sums), resamples))
     for a in range(0, resamples, step):
-        if a % draw == 0:  # int32 draws the same values as the default int64
-            idx = rng.integers(0, blocks, size=(min(draw, resamples - a), blocks), dtype=np.int32)
+        if a % draw == 0:
+            idx = rng.integers(0, blocks, size=(min(draw, resamples - a), blocks))
         rows = idx[a % draw : a % draw + step]
-        part = gathered[:, : len(rows)]
-        np.take(sums, rows, axis=1, out=part, mode="clip")
-        part.sum(axis=2, out=totals[:, a : a + len(rows)])
+        for table, part in zip(tables, values[:, : len(rows)]):
+            np.take(table, rows, axis=0, out=part, mode="clip")
+        for j, total in enumerate(totals[:, a : a + len(rows)]):
+            values[j // width, : len(rows), :, j % width].sum(axis=1, out=total)
     ratios = totals[1:] / totals[0]
     lo, hi = _percentiles(ratios, [2.5, 97.5])
     return list(zip(lo.tolist(), hi.tolist()))

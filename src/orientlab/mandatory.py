@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import Instance, Realization, weights_from_uniforms
+from .model import Instance, Realization, per_instance, weights_from_uniforms
 
 __all__ = [
     "MandatoryProfile",
@@ -129,8 +129,15 @@ def is_feasible(
 # Batched kernels: one row per realization, columns in ``vertex_ids`` order
 
 
-def _edge_groups(instance: Instance) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Hyperedges grouped by size, member-major.
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@per_instance
+def _edge_groups(instance: Instance) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Hyperedges grouped by size, member-major, built once per instance.
 
     Per group: ``cols`` (k x E) holds each hyperedge's member columns in
     increasing order, which is id order, so the first minimum down a
@@ -146,8 +153,8 @@ def _edge_groups(instance: Instance) -> list[tuple[np.ndarray, np.ndarray, np.nd
     groups = []
     for rows in by_size.values():
         cols = np.array(rows, dtype=np.intp).T
-        groups.append((cols, lo_all[cols][..., None], hi_all[cols][..., None]))
-    return groups
+        groups.append(_read_only(cols, lo_all[cols][..., None], hi_all[cols][..., None]))
+    return tuple(groups)
 
 
 def _minimum_parts(
@@ -258,19 +265,21 @@ def _edge_state(
     return ("open", min(candidates, key=lambda u: by_id[u].key))
 
 
+@per_instance
 def _hyperedge_columns(
     instance: Instance,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per hyperedge, in index order: its member columns in key order and
-    the members' interval ends ``lo`` and ``hi`` (k x 1 each)."""
+    the members' interval ends ``lo`` and ``hi`` (k x 1 each); built once
+    per instance."""
     column = {vid: j for j, vid in enumerate(instance.vertex_ids)}
     lo_all = np.array([v.interval.lo for v in instance.vertices])
     hi_all = np.array([v.interval.hi for v in instance.vertices])
     edges = []
     for members in instance.hyperedges:
         cols = np.array([column[u] for u in members], dtype=np.intp)
-        edges.append((cols, lo_all[cols][:, None], hi_all[cols][:, None]))
-    return edges
+        edges.append(_read_only(cols, lo_all[cols][:, None], hi_all[cols][:, None]))
+    return tuple(edges)
 
 
 def _edge_step(

@@ -10,15 +10,18 @@ minimum-weight vertex while paying as little query cost as possible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 MASS_TOL = 1e-9
+
+_T = TypeVar("_T")
 
 __all__ = [
     "InstanceError",
@@ -242,6 +245,22 @@ class Instance:
                     raise InstanceError(f"hyperedge references unknown id {u!r}")
 
 
+def per_instance(build: Callable[[Instance], _T]) -> Callable[[Instance], _T]:
+    """Decorator: ``build(instance)`` runs once per instance and is kept
+    on it, as a ``cached_property`` such as ``pmf_table`` is.  Instances
+    are immutable, so a kept table never goes stale; it is shared by
+    every caller, so builders return read-only arrays."""
+
+    @functools.wraps(build)
+    def table(instance: Instance) -> _T:
+        tables = instance.__dict__.setdefault("_tables", {})
+        if table not in tables:
+            tables[table] = build(instance)
+        return tables[table]
+
+    return table
+
+
 def make_instance(
     vertices: Iterable[UncertainVertex], hyperedges: Iterable[Sequence[str]]
 ) -> Instance:
@@ -307,6 +326,18 @@ class QueryTranscript:
 # Document format
 
 
+def _number(vid: str, field: str, value: object) -> float:
+    """A number field of a vertex entry: a JSON number (int or float, not
+    bool), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceError(f"vertex {vid}: {field} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _interval(vid: str, field: str, ends: Sequence[object]) -> Interval:
+    return Interval(_number(vid, field, ends[0]), _number(vid, field, ends[1]))
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the JSON instance document format."""
     try:
@@ -323,14 +354,14 @@ def parse_instance(text: str) -> Instance:
     vertices = []
     for row in doc["vertices"]:
         try:
-            interval = Interval(float(row["interval"][0]), float(row["interval"][1]))
+            vid = str(row["id"])
+            interval = _interval(vid, "interval end", row["interval"])
             cells = tuple(
-                PmfCell(Interval(float(c["cell"][0]), float(c["cell"][1])), float(c["mass"]))
+                PmfCell(_interval(vid, "cell end", c["cell"]), _number(vid, "mass", c["mass"]))
                 for c in row["pmf"]
             )
-            vertices.append(
-                UncertainVertex(str(row["id"]), float(row["cost"]), interval, Pmf(cells))
-            )
+            cost = _number(vid, "cost", row["cost"])
+            vertices.append(UncertainVertex(vid, cost, interval, Pmf(cells)))
         except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise InstanceError(f"malformed vertex entry: {row!r}") from exc
     return make_instance(vertices, [[str(u) for u in f] for f in hyperedges])
@@ -449,26 +480,30 @@ def weights_from_uniforms(
     instance: Instance, uniforms: np.ndarray, redraw: Callable[[int, int], np.random.Generator]
 ) -> np.ndarray:
     """The one map from uniforms to weights: rows x 2n uniforms in [0, 1)
-    in, rows x n weights out, columns in ``vertex_ids`` order.  Vertex j
+    in, rows x n weights out, columns in ``vertex_ids`` order (the
+    transpose of a C-ordered n x rows array).  Vertex j
     takes its pmf cell from uniform 2j, the first cell whose cumulative
     mass exceeds it, and its position in the cell from uniform 2j + 1.
     Exact cell-endpoint hits, measure zero but possible in floating point,
     are redrawn from ``redraw(row, j)`` until strictly interior."""
-    out = np.empty((len(uniforms), len(instance.vertices)))
-    # a column at a time keeps the temporaries small
-    for j, ((cum, los, his), w) in enumerate(zip(instance.pmf_table, out.T)):
+    uniforms_t = uniforms.T
+    out_t = np.empty((len(instance.vertices), len(uniforms)))
+    # a column at a time keeps the temporaries small; the weights are
+    # written vertex-major and returned transposed, so the kernels'
+    # vertex-major copy of them is free
+    for j, ((cum, los, his), w) in enumerate(zip(instance.pmf_table, out_t)):
         cell = np.zeros(len(uniforms), dtype=np.intp)
         for mass in cum:  # counting the masses passed beats np.searchsorted
-            cell += uniforms[:, 2 * j] >= mass
+            cell += uniforms_t[2 * j] >= mass
         lo, hi = los[cell], his[cell]
         np.subtract(hi, lo, out=w)
-        w *= uniforms[:, 2 * j + 1]
+        w *= uniforms_t[2 * j + 1]
         w += lo  # lo + u (hi - lo)
         for row in np.flatnonzero(~((lo < w) & (w < hi))).tolist():  # pragma: no cover
             rng = redraw(row, j)
             while not lo[row] < w[row] < hi[row]:
                 w[row] = lo[row] + rng.random() * (hi[row] - lo[row])
-    return out
+    return out_t.T
 
 
 def sample_realization(instance: Instance, rng: np.random.Generator) -> Realization:

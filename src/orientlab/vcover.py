@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .model import Instance
+from .model import Instance, per_instance
 
 EPS = 1e-12
 
@@ -155,9 +155,16 @@ def build_cover_graph(
     instance: Instance, weights: Mapping[str, float] | None = None
 ) -> CoverGraph:
     """Edge {v, u} for each hyperedge with leftmost v and intersecting
-    member u; for size-2 hyperedges this reproduces the graph itself."""
+    member u; for size-2 hyperedges this reproduces the graph itself.
+    Weighted by ``weights``, or else by the costs: that graph is built
+    once per instance."""
     if weights is None:
-        weights = instance.costs
+        return _cost_cover_graph(instance)
+    return make_cover_graph(dict(weights), _cost_cover_graph(instance).edges)
+
+
+@per_instance
+def _cost_cover_graph(instance: Instance) -> CoverGraph:
     edges = []
     for members in instance.hyperedges:
         first = members[0]
@@ -165,7 +172,7 @@ def build_cover_graph(
         for u in members[1:]:
             if iv.intersects(instance.interval(u)):
                 edges.append((first, u))
-    return make_cover_graph(dict(weights), edges)
+    return make_cover_graph(dict(instance.costs), edges)
 
 
 # ---------------------------------------------------------------------------

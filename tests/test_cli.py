@@ -348,13 +348,13 @@ def _vertex_doc(vid, lo, hi, cost=1.0, mass=1.0):
         ({"vertices": [], "hyperedges": 3}, "'hyperedges'"),
         (
             {
-                "vertices": [_vertex_doc("a", 0, 2, cost="inf"), _vertex_doc("b", 1, 3)],
+                "vertices": [_vertex_doc("a", 0, 2, cost=math.inf), _vertex_doc("b", 1, 3)],
                 "hyperedges": [["a", "b"]],
             },
             "finite",
         ),
-        ({"vertices": [_vertex_doc("a", 0, "inf")]}, "non-finite"),
-        ({"vertices": [_vertex_doc("a", 0, 1, mass="nan")]}, "finite"),
+        ({"vertices": [_vertex_doc("a", 0, math.inf)]}, "non-finite"),
+        ({"vertices": [_vertex_doc("a", 0, 1, mass=math.nan)]}, "finite"),
         ({"vertices": [_vertex_doc("a", 0, 2, cost=10**400)]}, "malformed vertex"),
         ({"vertices": [_vertex_doc("a", 1.0, math.nextafter(1.0, 2.0))]}, "too narrow"),
         ({"vertices": [_vertex_doc("a", -1e308, 1e308)]}, "too wide"),
@@ -372,6 +372,43 @@ def test_malformed_instance_file_exits_2(doc, message, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("cost", True, "vertex a: cost must be a number, got true"),
+        ("cost", "2", 'vertex a: cost must be a number, got "2"'),
+        ("cost", None, "vertex a: cost must be a number, got null"),
+        ("interval", ["0", "2"], 'vertex a: interval end must be a number, got "0"'),
+        ("interval", [0, False], "vertex a: interval end must be a number, got false"),
+        ("pmf", [{"cell": [0, "2"], "mass": 1}], 'vertex a: cell end must be a number, got "2"'),
+        ("pmf", [{"cell": [0, 2], "mass": "1"}], 'vertex a: mass must be a number, got "1"'),
+        ("pmf", [{"cell": [0, 2], "mass": [1]}], "vertex a: mass must be a number, got [1]"),
+    ],
+)
+def test_non_numeric_vertex_field_exits_2(field, value, message, tmp_path, capsys):
+    # float() would take each of these; the document format takes JSON numbers
+    doc = {"vertices": [_vertex_doc("a", 0, 2), _vertex_doc("b", 1, 3)], "hyperedges": [["a", "b"]]}
+    doc["vertices"][0][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(["run", "--instance", str(path), "--samples", "20"], capsys)
+    assert (code, out, err) == (2, "", f"orientlab: {message}\n")
+
+
+def test_integer_vertex_fields_parse(tmp_path, capsys):
+    ints = [_vertex_doc("a", 0, 2, cost=1, mass=1), _vertex_doc("b", 1, 3, cost=2, mass=1)]
+    floats = [_vertex_doc("a", 0.0, 2.0), _vertex_doc("b", 1.0, 3.0, cost=2.0)]
+    outputs = []
+    for vertices in (ints, floats):
+        doc = {"vertices": vertices, "hyperedges": [["a", "b"]]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(["run", "--instance", str(path), "--samples", "20"], capsys)
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_instance_without_hyperedges_exits_2(tmp_path, capsys):

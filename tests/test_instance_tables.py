@@ -1,0 +1,145 @@
+"""Tables built once per instance, and the layout of the weight map.
+
+The kernels' hyperedge tables (``mandatory._edge_groups``,
+``mandatory._hyperedge_columns``) and the cost-weighted cover graph are
+functions of the immutable instance: each is built on first use, kept on
+the instance and shared, read-only, by every later call.  The weight map
+writes its weights vertex-major and returns them transposed; its values
+and its redraw order must be those of the row-major map kept here as the
+reference.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+from orientlab import AlgorithmSpec, CoverGraph, build_cover_graph, gen_benchmark, gen_random
+from orientlab import harness, mandatory, vcover
+from orientlab.harness import evaluate_all
+from orientlab.mandatory import mandatory_matrix
+from orientlab.model import per_instance, weights_from_uniforms
+
+TABLES = [
+    (mandatory, "_edge_groups"),
+    (mandatory, "_hyperedge_columns"),
+    (vcover, "_cost_cover_graph"),
+]
+
+
+def _count_builds(monkeypatch):
+    """Rebind every table to a fresh cache whose builder counts its runs."""
+    builds = collections.Counter()
+    for module, name in TABLES:
+        build = getattr(module, name).__wrapped__
+
+        def counted(instance, build=build, name=name):
+            builds[name] += 1
+            return build(instance)
+
+        table = per_instance(counted)
+        monkeypatch.setattr(module, name, table)
+        if hasattr(harness, name):
+            monkeypatch.setattr(harness, name, table)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "instance, specs",
+    [
+        (
+            gen_random("gnp", 5, n=16, p=0.3, unit_cost=False),
+            [AlgorithmSpec("threshold"), AlgorithmSpec("bestvc"), AlgorithmSpec("baseline")],
+        ),
+        (
+            gen_random("hypergraph", 2, n=12, m=5, max_size=4, unit_cost=False),
+            [
+                AlgorithmSpec("threshold-hyper", epsilon=0.02),
+                AlgorithmSpec("bestvc", epsilon=0.02),
+                AlgorithmSpec("baseline"),
+            ],
+        ),
+        (
+            gen_benchmark("single-set", n=4),
+            [AlgorithmSpec("leaves-first"), AlgorithmSpec("two-stage-prefix", k=2)],
+        ),
+    ],
+    ids=["graph-paired", "hyper-paired", "single-set"],
+)
+def test_each_table_is_built_once_per_instance(monkeypatch, instance, specs):
+    builds = _count_builds(monkeypatch)
+    first = evaluate_all(instance, specs, 3000, 11)
+    assert builds == {name: 1 for _, name in TABLES}
+    second = evaluate_all(instance, specs, 3000, 11)
+    assert builds == {name: 1 for _, name in TABLES}  # kept on the instance
+    assert [r.ci95_ratio for r in first] == [r.ci95_ratio for r in second]
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        gen_benchmark("fork"),
+        gen_random("gnp", 8, n=9, p=0.4, unit_cost=False),
+        gen_random("hypergraph", 9, n=12, m=5, max_size=4, unit_cost=False),
+    ],
+)
+def test_tables_are_shared_read_only_and_equal_fresh_builds(instance):
+    for module, name in TABLES:
+        table = getattr(module, name)
+        assert table(instance) is table(instance)
+        fresh = table.__wrapped__(instance)
+        if name == "_cost_cover_graph":
+            assert isinstance(fresh, CoverGraph) and table(instance) == fresh
+            continue
+        assert isinstance(table(instance), tuple)
+        for kept, built in zip(table(instance), fresh, strict=True):
+            for a, b in zip(kept, built, strict=True):
+                assert not a.flags.writeable
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+    assert build_cover_graph(instance) is build_cover_graph(instance)
+    weights = {v: 1.0 + i for i, v in enumerate(instance.vertex_ids)}
+    weighted = build_cover_graph(instance, weights)
+    assert weighted.edges == build_cover_graph(instance).edges
+    assert weighted.weights == weights
+
+
+def _reference_weights(instance, uniforms, redraw):
+    """The row-major weight map: strided columns in and out."""
+    out = np.empty((len(uniforms), len(instance.vertices)))
+    for j, ((cum, los, his), w) in enumerate(zip(instance.pmf_table, out.T)):
+        cell = np.zeros(len(uniforms), dtype=np.intp)
+        for mass in cum:
+            cell += uniforms[:, 2 * j] >= mass
+        lo, hi = los[cell], his[cell]
+        np.subtract(hi, lo, out=w)
+        w *= uniforms[:, 2 * j + 1]
+        w += lo
+        for row in np.flatnonzero(~((lo < w) & (w < hi))).tolist():
+            rng = redraw(row, j)
+            while not lo[row] < w[row] < hi[row]:
+                w[row] = lo[row] + rng.random() * (hi[row] - lo[row])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vertex_major_weight_map_equals_row_major_map(seed):
+    instance = gen_random("hypergraph", seed, n=12, m=5, max_size=4, unit_cost=False)
+    n = len(instance.vertices)
+    uniforms = np.random.default_rng(seed).random((700, 2 * n))
+    # position uniforms of 0.0 put weights on cell ends: redrawn, column
+    # first, then row, from generators in one state on both sides
+    uniforms[[3, 650, 3, 9], [1, 1, 2 * n - 1, 2 * n - 1]] = 0.0
+    weights, calls = [], []
+    for fn in (weights_from_uniforms, _reference_weights):
+        rng = np.random.default_rng(99)
+        order = []
+        weights.append(fn(instance, uniforms, lambda row, j: order.append((row, j)) or rng))
+        calls.append(order)
+    assert calls[0] == calls[1] == [(3, 0), (650, 0), (3, n - 1), (9, n - 1)]
+    assert np.array_equal(weights[0], weights[1])
+    assert weights[0].T.flags.c_contiguous  # the kernels' transpose is free
+    assert np.array_equal(
+        mandatory_matrix(instance, weights[0]), mandatory_matrix(instance, weights[1])
+    )

@@ -15,9 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algorithms import OfflineOracle, guaranteed_ratio, hyper_ratio
+from .algorithms import AlgorithmSpec, OfflineOracle, guaranteed_ratio, hyper_ratio
 from .harness import (
-    AlgorithmSpec,
     _raise_bounds,
     best_two_stage_cost,
     evaluate,
@@ -31,7 +30,7 @@ from .harness import (
     vertex_split,
 )
 from .mandatory import (
-    estimate_prob,
+    estimate_profile,
     hoeffding_sample_count,
     is_feasible,
     mandatory_set,
@@ -388,7 +387,7 @@ def check_sampling_estimator() -> CriterionResult:
     rng = np.random.default_rng(SEED + 3)
     inside = 0
     for _ in range(100):
-        y = estimate_prob(inst, "y", 0.05, 0.01, rng)
+        y = estimate_profile(inst, 0.05, 0.01, rng).probs["y"]
         if 0.45 <= y <= 0.55:
             inside += 1
     ok = k == 1060 and inside >= 97

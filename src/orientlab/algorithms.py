@@ -5,6 +5,8 @@ independent first stage queries a vertex cover of the cover graph, and
 an adaptive second stage queries only vertices that the revealed
 weights certify as unavoidable.  Each run produces a transcript, paired
 with the offline optimum for the same realization when given an oracle.
+:func:`plan` fixes the first stage of an :class:`AlgorithmSpec`, from
+the mandatory profile it plans from, before any weight is revealed.
 """
 
 from __future__ import annotations
@@ -14,10 +16,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .mandatory import (
     MandatoryProfile,
     _edge_state,
+    estimate_profile,
+    estimate_profiles,
     exact_prob_graph,
+    hoeffding_sample_count,
     is_feasible,
     mandatory_set,
 )
@@ -25,6 +32,7 @@ from .model import Instance, QueryStep, QueryTranscript, Realization
 from .vcover import (
     Cover,
     CoverGraph,
+    bipartition,
     build_cover_graph,
     lp_half_integral,
     vc_bipartite_exact,
@@ -34,6 +42,10 @@ from .vcover import (
 )
 
 __all__ = [
+    "AlgorithmSpec",
+    "Policy",
+    "plan",
+    "profiles",
     "ThresholdConfig",
     "RunOutcome",
     "optimal_d",
@@ -410,3 +422,176 @@ def run_leaves_first(
         rec.query(vid, "stage1")
     _mandatory_completion(rec)
     return rec.finish(oracle)
+
+
+# ---------------------------------------------------------------------------
+# Planning: what an algorithm decides before any weight is revealed
+
+_PLAN_TAG = 0xFFFF0001
+
+
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """Description of one algorithm run configuration, which :func:`plan`
+    turns into a :class:`Policy` on a given instance."""
+
+    kind: str
+    alpha: float = 1.0
+    d: float | None = None
+    epsilon: float = 0.05
+    delta: float = 0.1
+    vc_strategy: str | None = None
+    cover: tuple[str, ...] | None = None
+    k: int | None = None
+
+    @property
+    def algorithm_id(self) -> str:
+        if self.kind == "threshold":
+            d = "auto" if self.d is None else f"{self.d:g}"
+            return f"threshold(alpha={self.alpha:g};d={d})"
+        if self.kind == "threshold-hyper":
+            return (
+                f"threshold-hyper(alpha={self.alpha:g};eps={self.epsilon:g};"
+                f"delta={self.delta:g})"
+            )
+        if self.kind == "fixed-cover":
+            return f"fixed-cover({'+'.join(self.cover or ())})"
+        if self.kind == "two-stage-prefix":
+            return f"two-stage-prefix(k={self.k})"
+        return self.kind
+
+    def config(self, vc_strategy: str = "exact-small") -> ThresholdConfig:
+        """The threshold parameters of a threshold or threshold-hyper spec."""
+        epsilon = self.epsilon if self.kind == "threshold-hyper" else None
+        return ThresholdConfig(self.alpha, self.d, vc_strategy, epsilon)
+
+    def threshold_used(self) -> float | None:
+        if not self.kind.startswith("threshold"):
+            return None
+        return self.config().threshold()
+
+
+@dataclass(frozen=True)
+class Policy:
+    """A planned algorithm: what it decides before any weight is revealed.
+
+    ``stage1`` is queried first and the adaptive completion finishes the
+    run; leaves-first and two-stage-prefix follow their own rules.  When
+    stage 1 covers the cover graph the completion queries exactly the
+    mandatory vertices outside it, so a run queries ``stage1`` plus the
+    mandatory set M(r) and is scored from M alone.  ``adaptive`` marks the
+    policies whose query sets depend on more than M(r): the batched
+    completion, or the closed form of two-stage-prefix, gives them.
+    """
+
+    spec: AlgorithmSpec
+    stage1: tuple[str, ...]
+    adaptive: bool
+
+
+def _auto_strategy(spec: AlgorithmSpec, instance: Instance) -> str:
+    """The black-box cover solver a threshold or bestvc spec plans with,
+    unless the spec names one."""
+    if spec.vc_strategy is not None:
+        return spec.vc_strategy
+    if spec.kind.startswith("threshold") and spec.alpha >= 2.0:
+        return "local-ratio"
+    if spec.kind == "bestvc" and instance.kind == "graph" and bipartition(build_cover_graph(instance)):
+        return "bipartite"
+    if instance.kind == "hypergraph" and len(instance.hyperedges) <= 20:
+        return "few-hyperedges"
+    return "exact-small"
+
+
+def _sample_request(spec: AlgorithmSpec, instance: Instance) -> tuple[float, float] | None:
+    """The (epsilon, delta) of the sampled profile a spec plans from, or
+    None when it plans from the exact one.  The profile is sampled for
+    threshold-hyper on any instance, each vertex's estimate failing with
+    probability delta_v so that all hold together with probability
+    1 - delta, and for bestvc on hypergraphs.  Raises ValueError for an
+    epsilon or delta outside (0, 1)."""
+    if spec.kind == "threshold-hyper":
+        if not 0.0 < spec.delta < 1.0:
+            raise ValueError("epsilon and delta must lie in (0, 1)")
+        delta = 1.0 - (1.0 - spec.delta) ** (1.0 / max(1, len(instance.vertices)))
+    elif spec.kind == "bestvc" and instance.kind != "graph":
+        delta = spec.delta
+    else:
+        return None
+    hoeffding_sample_count(spec.epsilon, delta)  # checks both
+    return spec.epsilon, delta
+
+
+def profiles(
+    specs: Sequence[AlgorithmSpec], instance: Instance, master_seed: int
+) -> list[MandatoryProfile | None]:
+    """The sampled mandatory profiles of several specs, from one sample.
+
+    The specs that sample share one draw from the planning stream
+    ``[master_seed, _PLAN_TAG]`` (:func:`estimate_profiles`), and each
+    gets the profile it would sample alone; the other specs get None and
+    plan from the exact profile, which :func:`exact_prob_graph` builds
+    once per instance.  The requests stop at the first spec whose epsilon
+    or delta is invalid: it and the specs after it get None, so planning
+    it raises after the specs before it are planned, as when each spec
+    sampled its own.
+    """
+    out: list[MandatoryProfile | None] = [None] * len(specs)
+    requests: dict[int, tuple[float, float]] = {}
+    for i, spec in enumerate(specs):
+        try:
+            request = _sample_request(spec, instance)
+        except ValueError:
+            break
+        if request is not None:
+            requests[i] = request
+    if requests:
+        rng = np.random.default_rng([master_seed, _PLAN_TAG])
+        for i, profile in zip(requests, estimate_profiles(instance, list(requests.values()), rng)):
+            out[i] = profile
+    return out
+
+
+def plan(
+    spec: AlgorithmSpec,
+    instance: Instance,
+    master_seed: int,
+    profile: MandatoryProfile | None = None,
+) -> Policy:
+    """Resolve a spec into its policy, once per evaluation.
+
+    Everything realization-independent (probabilities, LP, stage-1 cover)
+    happens here, deterministically from the master seed.  ``profile`` is
+    the spec's profile from :func:`profiles`, when the caller has it;
+    otherwise a spec that samples draws its own from the planning stream,
+    and the others plan from the exact profile.
+    """
+    request = _sample_request(spec, instance)
+    if request is not None and profile is None:
+        rng = np.random.default_rng([master_seed, _PLAN_TAG])
+        profile = estimate_profile(instance, *request, rng)
+    if spec.kind in ("threshold", "threshold-hyper"):
+        config = spec.config(_auto_strategy(spec, instance))
+        stage1 = plan_threshold(instance, config, profile).stage1
+    elif spec.kind == "bestvc":
+        _, cover = plan_best_vc(instance, _auto_strategy(spec, instance), profile)
+        stage1 = tuple(sorted(cover.members))
+    elif spec.kind == "fixed-cover":
+        stage1 = tuple(sorted(spec.cover or ()))
+        unknown = set(stage1) - set(instance.vertex_ids)
+        if unknown:
+            raise ValueError(f"fixed cover names unknown vertices {sorted(unknown)}")
+    elif spec.kind == "baseline":
+        stage1 = ()
+    elif spec.kind == "offline-opt":
+        return Policy(spec, (), adaptive=False)
+    elif spec.kind in ("leaves-first", "two-stage-prefix"):
+        if len(instance.hyperedges) != 1:
+            name = "leaves-first" if spec.kind == "leaves-first" else "two-stage prefix"
+            raise ValueError(f"{name} policy is defined for a single hyperedge")
+        return Policy(spec, (), adaptive=True)
+    else:
+        raise ValueError(f"unknown algorithm kind {spec.kind!r}")
+    chosen = set(stage1)
+    covers = all(a in chosen or b in chosen for a, b in build_cover_graph(instance).edges)
+    return Policy(spec, stage1, adaptive=not covers)

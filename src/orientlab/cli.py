@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from .acceptance import SUITES, run_suite
+from .algorithms import AlgorithmSpec
 from .harness import (
-    AlgorithmSpec,
     BENCHMARKS,
     csv_header,
     csv_row,

@@ -1,9 +1,10 @@
 """Experiment harness: instance generators, exact expectations, and the
 paired Monte-Carlo evaluator.
 
-The evaluator always runs an algorithm and the offline optimum on the
-same realizations and reports the ratio of means with a bootstrap
-confidence interval; everything is reproducible from one master seed.
+The evaluator scores the policies that :func:`algorithms.plan` makes
+and the offline optimum on the same realizations and reports the ratio
+of means with a bootstrap confidence interval; everything is
+reproducible from one master seed.
 """
 
 from __future__ import annotations
@@ -16,24 +17,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algorithms import (
-    OfflineOracle,
-    RunOutcome,
-    ThresholdConfig,
-    plan_best_vc,
-    plan_threshold,
-)
+from .algorithms import AlgorithmSpec, OfflineOracle, Policy, RunOutcome, plan, profiles
 from .mandatory import (
-    MandatoryProfile,
     _edge_step,
     _hyperedge_columns,
     _kernel_rows,
     completion_matrix,
-    estimate_profile,
-    estimate_profiles,
-    exact_prob_graph,
     feasible_matrix,
-    hoeffding_sample_count,
     is_feasible,
     mandatory_matrix,
 )
@@ -54,15 +44,12 @@ from .model import (
 from .vcover import (
     CoverGraph,
     SolverBoundError,
-    build_cover_graph,
     make_cover_graph,
     vc_exact_small,
 )
 
 __all__ = [
     "EvaluationReport",
-    "AlgorithmSpec",
-    "Policy",
     "evaluate",
     "evaluate_all",
     "csv_header",
@@ -84,7 +71,6 @@ __all__ = [
     "gen_generalized",
 ]
 
-_PLAN_TAG = 0xFFFF0001
 _BOOT_TAG = 0xFFFF0002
 _BLOCK = 4096
 _BOOT_CELLS = 1 << 16  # bootstrap gather buffer: 512 KiB of float64
@@ -704,42 +690,6 @@ def gen_generalized(n: int, rng: np.random.Generator | int) -> GeneralizedInstan
 
 
 @dataclass(frozen=True)
-class AlgorithmSpec:
-    """Picklable description of an algorithm run configuration."""
-
-    kind: str
-    alpha: float = 1.0
-    d: float | None = None
-    epsilon: float = 0.05
-    delta: float = 0.1
-    vc_strategy: str | None = None
-    cover: tuple[str, ...] | None = None
-    k: int | None = None
-
-    @property
-    def algorithm_id(self) -> str:
-        if self.kind == "threshold":
-            d = "auto" if self.d is None else f"{self.d:g}"
-            return f"threshold(alpha={self.alpha:g};d={d})"
-        if self.kind == "threshold-hyper":
-            return (
-                f"threshold-hyper(alpha={self.alpha:g};eps={self.epsilon:g};"
-                f"delta={self.delta:g})"
-            )
-        if self.kind == "fixed-cover":
-            return f"fixed-cover({'+'.join(self.cover or ())})"
-        if self.kind == "two-stage-prefix":
-            return f"two-stage-prefix(k={self.k})"
-        return self.kind
-
-    def threshold_used(self) -> float | None:
-        if not self.kind.startswith("threshold"):
-            return None
-        epsilon = self.epsilon if self.kind == "threshold-hyper" else None
-        return ThresholdConfig(self.alpha, self.d, epsilon=epsilon).threshold()
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
     instance_id: str
     algorithm_id: str
@@ -752,146 +702,6 @@ class EvaluationReport:
     wall_ms: int
     d: float | None = None
     alpha: float | None = None
-
-
-def _auto_strategy(spec: AlgorithmSpec, instance: Instance) -> str:
-    if spec.vc_strategy is not None:
-        return spec.vc_strategy
-    if spec.kind in ("threshold", "threshold-hyper"):
-        if spec.alpha >= 2.0:
-            return "local-ratio"
-        if instance.kind == "hypergraph" and len(instance.hyperedges) <= 20:
-            return "few-hyperedges"
-        return "exact-small"
-    if spec.kind == "bestvc":
-        from .vcover import bipartition
-
-        if instance.kind == "graph" and bipartition(build_cover_graph(instance)):
-            return "bipartite"
-        if instance.kind == "hypergraph" and len(instance.hyperedges) <= 20:
-            return "few-hyperedges"
-        return "exact-small"
-    return "exact-small"
-
-
-@dataclass(frozen=True)
-class Policy:
-    """A planned algorithm: what it decides before any weight is revealed.
-
-    ``stage1`` is queried first and the adaptive completion finishes the
-    run; leaves-first and two-stage-prefix follow their own rules.  When
-    stage 1 covers the cover graph the completion queries exactly the
-    mandatory vertices outside it, so a run queries ``stage1`` plus the
-    mandatory set M(r) and is scored from M alone.  ``adaptive`` marks the
-    policies whose query sets depend on more than M(r): the batched
-    completion, or the closed form of two-stage-prefix, gives them.
-    """
-
-    spec: AlgorithmSpec
-    stage1: tuple[str, ...]
-    adaptive: bool
-
-
-def _sample_request(spec: AlgorithmSpec, instance: Instance) -> tuple[float, float] | None:
-    """The (epsilon, delta) of the sampled profile a spec plans from, or
-    None when it plans from the exact one.  The profile is sampled for
-    threshold-hyper on any instance, each vertex's estimate failing with
-    probability delta_v so that all hold together with probability
-    1 - delta, and for bestvc on hypergraphs.  Raises ValueError for an
-    epsilon or delta outside (0, 1)."""
-    if spec.kind == "threshold-hyper":
-        if not 0.0 < spec.delta < 1.0:
-            raise ValueError("epsilon and delta must lie in (0, 1)")
-        delta = 1.0 - (1.0 - spec.delta) ** (1.0 / max(1, len(instance.vertices)))
-    elif spec.kind == "bestvc" and instance.kind != "graph":
-        delta = spec.delta
-    else:
-        return None
-    hoeffding_sample_count(spec.epsilon, delta)  # checks both
-    return spec.epsilon, delta
-
-
-def _profiles(
-    specs: Sequence[AlgorithmSpec], instance: Instance, master_seed: int
-) -> list[MandatoryProfile | None]:
-    """Every spec's mandatory profile, resolved in one place.
-
-    The specs that sample share one draw from the planning stream
-    ``[master_seed, _PLAN_TAG]`` (:func:`estimate_profiles`), and each
-    gets the profile it would sample alone; threshold and bestvc on a
-    graph share one exact profile; the other specs get None.  The
-    requests stop at the first spec whose epsilon or delta is invalid:
-    it and the specs after it get None, so planning it raises after the
-    specs before it are planned, as when each spec sampled its own.
-    """
-    profiles: list[MandatoryProfile | None] = [None] * len(specs)
-    requests: dict[int, tuple[float, float]] = {}
-    for i, spec in enumerate(specs):
-        try:
-            request = _sample_request(spec, instance)
-        except ValueError:
-            break
-        if request is not None:
-            requests[i] = request
-    if requests:
-        rng = np.random.default_rng([master_seed, _PLAN_TAG])
-        sampled = estimate_profiles(instance, list(requests.values()), rng)
-        for i, profile in zip(requests, sampled):
-            profiles[i] = profile
-    exact = [i for i, spec in enumerate(specs) if spec.kind in ("threshold", "bestvc")]
-    if instance.kind == "graph" and exact:
-        profile = exact_prob_graph(instance)
-        for i in exact:
-            profiles[i] = profile
-    return profiles
-
-
-def _plan(
-    spec: AlgorithmSpec,
-    instance: Instance,
-    master_seed: int,
-    profile: MandatoryProfile | None = None,
-) -> Policy:
-    """Resolve a spec into its policy, once per evaluation.
-
-    Everything realization-independent (probabilities, LP, stage-1 cover)
-    happens here, deterministically from the master seed.  ``profile`` is
-    the spec's mandatory profile as :func:`_profiles` resolves it, when
-    the caller has it; otherwise it is computed here: sampled from the
-    planning stream for the specs of :func:`_sample_request`, exact for
-    the others.
-    """
-    strategy = _auto_strategy(spec, instance)
-    request = _sample_request(spec, instance)
-    if request is not None and profile is None:
-        rng = np.random.default_rng([master_seed, _PLAN_TAG])
-        profile = estimate_profile(instance, *request, rng)
-    if spec.kind in ("threshold", "threshold-hyper"):
-        epsilon = spec.epsilon if spec.kind == "threshold-hyper" else None
-        config = ThresholdConfig(spec.alpha, spec.d, strategy, epsilon)
-        stage1 = plan_threshold(instance, config, profile).stage1
-    elif spec.kind == "bestvc":
-        _, cover = plan_best_vc(instance, strategy, profile)
-        stage1 = tuple(sorted(cover.members))
-    elif spec.kind == "fixed-cover":
-        stage1 = tuple(sorted(spec.cover or ()))
-        unknown = set(stage1) - set(instance.vertex_ids)
-        if unknown:
-            raise ValueError(f"fixed cover names unknown vertices {sorted(unknown)}")
-    elif spec.kind == "baseline":
-        stage1 = ()
-    elif spec.kind == "offline-opt":
-        return Policy(spec, (), adaptive=False)
-    elif spec.kind in ("leaves-first", "two-stage-prefix"):
-        if len(instance.hyperedges) != 1:
-            name = "leaves-first" if spec.kind == "leaves-first" else "two-stage prefix"
-            raise ValueError(f"{name} policy is defined for a single hyperedge")
-        return Policy(spec, (), adaptive=True)
-    else:
-        raise ValueError(f"unknown algorithm kind {spec.kind!r}")
-    chosen = set(stage1)
-    covers = all(a in chosen or b in chosen for a, b in build_cover_graph(instance).edges)
-    return Policy(spec, stage1, adaptive=not covers)
 
 
 def _row_bits(masks: np.ndarray) -> list[int]:
@@ -1124,18 +934,18 @@ def evaluate_all(
 
     Realization i comes from the stream (master_seed, i), and every
     policy is scored from batched query masks, so reports depend only on
-    the seed (wall_ms aside); the seed must lie in [0, 2^64).  Every
-    spec's mandatory profile is resolved first, in one place
-    (:func:`_profiles`: one planning sample serves every spec that
-    samples), and every spec is planned, so a spec that cannot run fails
-    before any realization is sampled; then the realizations are sampled
-    and the optimum solved once for all specs, every spec is scored, one
-    pass checks every query set for feasibility on every realization,
-    and one bootstrap index stream gives every spec its CI.  A report's
-    wall_ms is its own plan and scoring plus an equal share of the
-    bootstrap; the first report's also includes the shared profiles
-    (exact, and the planning sample), the realizations and optimum, and
-    the feasibility pass.  A spec whose planning, or the optimum, exceeds
+    the seed (wall_ms aside); the seed must lie in [0, 2^64).  One
+    planning sample serves every spec that samples
+    (:func:`algorithms.profiles`), and every spec is planned
+    (:func:`algorithms.plan`), so a spec that cannot run fails before any
+    realization is sampled; then the realizations are sampled and the
+    optimum solved once for all specs, every spec is scored, one pass
+    checks every query set for feasibility on every realization, and one
+    bootstrap index stream gives every spec its CI.  A report's wall_ms
+    is its own plan and scoring plus an equal share of the bootstrap; the
+    first report's also includes the planning sample, the realizations
+    and optimum, and the feasibility pass.  The exact profile is a
+    per-instance table, paid by the first spec that plans from it.  A spec whose planning, or the optimum, exceeds
     a solver bound gets the SolverBoundError in place of its report.
     """
     if n_samples < 1:
@@ -1147,13 +957,13 @@ def evaluate_all(
     if not instance.hyperedges:  # the only way a reduced instance has E[OPT] = 0
         raise InstanceError("E[OPT] is 0: nothing to orient")
     start = time.perf_counter()
-    profiles = _profiles(specs, instance, master_seed)
+    sampled = profiles(specs, instance, master_seed)
     shared = time.perf_counter() - start
     planned: list[tuple[Policy | SolverBoundError, float]] = []
-    for spec, profile in zip(specs, profiles):
+    for spec, profile in zip(specs, sampled):
         start = time.perf_counter()
         try:
-            policy: Policy | SolverBoundError = _plan(spec, instance, master_seed, profile)
+            policy: Policy | SolverBoundError = plan(spec, instance, master_seed, profile)
         except SolverBoundError as exc:
             policy = exc
         planned.append((policy, time.perf_counter() - start))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
+import types
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -26,7 +27,6 @@ __all__ = [
     "feasible_matrix",
     "completion_matrix",
     "exact_prob_graph",
-    "estimate_prob",
     "estimate_profile",
     "estimate_profiles",
     "hoeffding_sample_count",
@@ -361,8 +361,10 @@ def completion_matrix(
     return out_t.T | mandatory
 
 
+@per_instance
 def exact_prob_graph(instance: Instance) -> MandatoryProfile:
-    """Exact mandatory probabilities for graphs.
+    """Exact mandatory probabilities for graphs, built once per instance
+    and shared, so ``probs`` is read-only.
 
     For an edge {u, v} the events "w_u in I_v" are independent across
     neighbors u, so p_v = 1 - prod_u P[w_u not in I_v].  Computed exactly
@@ -378,7 +380,7 @@ def exact_prob_graph(instance: Instance) -> MandatoryProfile:
             n, d = instance.by_id[u].pmf.mass_ratio(v.interval)
             miss_n, miss_d = miss_n * (d - n), miss_d * d
         probs[v.id] = (miss_d - miss_n) / miss_d
-    return MandatoryProfile(probs, method="exact-graph")
+    return MandatoryProfile(types.MappingProxyType(probs), method="exact-graph")
 
 
 def hoeffding_sample_count(epsilon: float, delta: float) -> int:
@@ -423,24 +425,6 @@ def _sample_mandatory_counts(
                 counts[i] = total + mandatory[: k - a].sum(axis=0)
         total += mandatory.sum(axis=0)
     return counts
-
-
-def estimate_prob(
-    instance: Instance,
-    vid: str,
-    epsilon: float,
-    delta: float,
-    rng: np.random.Generator,
-) -> float:
-    """Estimate the mandatory probability of one vertex by sampling.
-
-    Draws ceil(ln(2/delta) / (2 epsilon^2)) realizations and returns the
-    mandatory fraction; the Hoeffding bound gives
-    P[|estimate - p| >= epsilon] <= delta.
-    """
-    k = hoeffding_sample_count(epsilon, delta)
-    column = instance.vertex_ids.index(vid)
-    return int(_sample_mandatory_counts(instance, [k], rng)[0][column]) / k
 
 
 def estimate_profiles(

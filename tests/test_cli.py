@@ -224,6 +224,30 @@ class TestRun:
         assert out == ""
         assert err == "orientlab: leaves-first policy is defined for a single hyperedge\n"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["--gen", "fork", "-a", "leaves-first", "-a", "threshold-hyper", "--delta", "2"],
+                "leaves-first policy is defined for a single hyperedge",
+            ),
+            (
+                ["--gen", "fork", "-a", "threshold-hyper", "-a", "leaves-first", "--delta", "2"],
+                "epsilon and delta must lie in (0, 1)",
+            ),
+            (
+                ["--gen", "overlap-family", "-a", "threshold"],
+                "exact probabilities only for graphs; use a sampled estimate",
+            ),
+        ],
+        ids=["leaves-first-first", "bad-delta-first", "exact-profile-on-hypergraph"],
+    )
+    def test_first_failing_spec_names_the_error(self, args, message, capsys):
+        code, out, err = run_main(["run", *args, "--samples", "100"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"orientlab: {message}\n"
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_main(["run", "--samples", "10"], capsys)
         assert code == 2

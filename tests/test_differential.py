@@ -35,12 +35,12 @@ from orientlab import (
     sample_realization,
     vc_exact_small,
 )
+from orientlab.algorithms import plan
 from orientlab.harness import (
     BENCHMARKS,
     _alg_costs,
     _BlockSampler,
     _PairedBatch,
-    _plan,
     _query_sets,
 )
 from orientlab.mandatory import (
@@ -141,7 +141,7 @@ def test_batched_costs_match_scalar_reference(instance):
     optimal = [oracle.opt(r) for r in realizations]
     assert batch.opt.tolist() == [cost for _, cost in optimal]
     for spec, adaptive in _specs(instance):
-        policy = _plan(spec, instance, SEED)
+        policy = plan(spec, instance, SEED)
         assert policy.adaptive == adaptive, spec.algorithm_id
         alg = _alg_costs(policy, batch)
         sets, index = _query_sets(policy, batch)
@@ -166,7 +166,7 @@ def test_leaves_first_matches_scalar_reference():
         gen_benchmark("staircase"),
     ):
         batch = _PairedBatch(instance, SEED, N, VC_BOUND)
-        policy = _plan(AlgorithmSpec("leaves-first"), instance, SEED)
+        policy = plan(AlgorithmSpec("leaves-first"), instance, SEED)
         alg = _alg_costs(policy, batch)
         sets, index = _query_sets(policy, batch)
         rows = sets[index]
@@ -186,7 +186,7 @@ def test_two_stage_prefix_matches_scalar_reference(k):
         gen_random("hypergraph", 0, n=6, m=1, max_size=6, unit_cost=False),
     ):
         batch = _PairedBatch(instance, SEED, N, VC_BOUND)
-        policy = _plan(AlgorithmSpec("two-stage-prefix", k=k), instance, SEED)
+        policy = plan(AlgorithmSpec("two-stage-prefix", k=k), instance, SEED)
         alg = _alg_costs(policy, batch)
         sets, index = _query_sets(policy, batch)
         rows = sets[index]
@@ -295,7 +295,7 @@ def test_stacked_feasibility_matches_scalar_reference(instance):
     batch = _PairedBatch(instance, SEED, N, VC_BOUND)
     stack = [batch.optimal[batch.pattern]]
     for spec, _ in _specs(instance):
-        sets, index = _query_sets(_plan(spec, instance, SEED), batch)
+        sets, index = _query_sets(plan(spec, instance, SEED), batch)
         stack.append(sets[index])
     rng = np.random.default_rng(SEED)
     stack += [rng.random(batch.weights.shape) < share for share in (0.5, 0.9)]

@@ -31,14 +31,15 @@ from orientlab import (
     vc_interval_union_dp,
 )
 from orientlab import algorithms, harness, mandatory, model
+from orientlab.algorithms import plan, profiles
 from orientlab.harness import (
     _BOOT_TAG,
     _BlockSampler,
     _block_sums,
     _bootstrap_ci,
     _percentiles,
-    _plan,
 )
+from orientlab.model import per_instance
 from test_model import uniform_vertex
 
 
@@ -396,14 +397,12 @@ class TestEvaluate:
         inst = gen_random("gnp", 23, n=10, p=0.3, unit_cost=False)
         specs = [AlgorithmSpec("threshold"), AlgorithmSpec("bestvc"), AlgorithmSpec("baseline")]
         before = harness.evaluate_all(inst, specs, 800, 5, "inst")
-        plan = harness._plan
-
         def failing(spec, *args):
             if spec.kind == "bestvc":
                 raise SolverBoundError("cover bound exceeded")
             return plan(spec, *args)
 
-        monkeypatch.setattr(harness, "_plan", failing)
+        monkeypatch.setattr(harness, "plan", failing)
         first, middle, last = harness.evaluate_all(inst, specs, 800, 5, "inst")
         assert isinstance(middle, SolverBoundError)
         assert replace(first, wall_ms=0) == replace(before[0], wall_ms=0)
@@ -412,20 +411,70 @@ class TestEvaluate:
     def test_exact_profile_computed_once(self, monkeypatch):
         inst = gen_random("gnp", 4, n=10, p=0.3, unit_cost=False)
         specs = [AlgorithmSpec("threshold"), AlgorithmSpec("bestvc"), AlgorithmSpec("baseline")]
-        calls = []
-        exact = harness.exact_prob_graph
+        builds = []
+        build = mandatory.exact_prob_graph.__wrapped__
 
         def counted(instance):
-            calls.append(instance)
-            return exact(instance)
+            builds.append(instance)
+            return build(instance)
 
-        monkeypatch.setattr(harness, "exact_prob_graph", counted)
-        monkeypatch.setattr(algorithms, "exact_prob_graph", counted)
+        table = per_instance(counted)
+        for module in (mandatory, algorithms):  # wherever the name is imported
+            monkeypatch.setattr(module, "exact_prob_graph", table)
         harness.evaluate_all(inst, specs, 200, 3)
-        assert len(calls) == 1
-        profile = exact(inst)
-        for spec in specs:
-            assert _plan(spec, inst, 3, profile) == _plan(spec, inst, 3)
+        # gnp-sweep's two evaluations of one instance, alpha = 1 and alpha = 2
+        evaluate(inst, AlgorithmSpec("threshold", alpha=1.0), 200, 5)
+        evaluate(inst, AlgorithmSpec("threshold", alpha=2.0), 200, 5)
+        assert builds == [inst]
+        profile = table(inst)
+        with pytest.raises(TypeError):
+            profile.probs[inst.vertex_ids[0]] = 0.5
+        assert profile.probs == build(inst).probs
+
+    @pytest.mark.parametrize(
+        "inst, specs, sampled",
+        [
+            (
+                gen_random("gnp", 4, n=10, p=0.3, unit_cost=False),
+                [
+                    AlgorithmSpec("threshold"),
+                    AlgorithmSpec("bestvc"),
+                    AlgorithmSpec("baseline"),
+                    AlgorithmSpec("fixed-cover", cover=("v00", "v03")),
+                    AlgorithmSpec("offline-opt"),
+                ],
+                [],
+            ),
+            (
+                gen_random("hypergraph", 5, n=10, m=5, max_size=4, unit_cost=False),
+                [
+                    AlgorithmSpec("threshold-hyper"),
+                    AlgorithmSpec("bestvc"),
+                    AlgorithmSpec("baseline"),
+                    AlgorithmSpec("threshold-hyper", epsilon=0.2),  # a plan another sample changes
+                ],
+                [0, 1, 3],
+            ),
+            (
+                gen_benchmark("single-set", n=4),
+                [
+                    AlgorithmSpec("leaves-first"),
+                    AlgorithmSpec("two-stage-prefix", k=2),
+                    AlgorithmSpec("fixed-cover", cover=("e0",)),
+                    AlgorithmSpec("offline-opt"),
+                ],
+                [],
+            ),
+        ],
+        ids=["gnp", "hypergraph", "single-set"],
+    )
+    def test_plan_from_own_profile_equals_plan_alone(self, inst, specs, sampled):
+        own = profiles(specs, inst, 3)
+        assert [i for i, profile in enumerate(own) if profile is not None] == sampled
+        if inst.kind == "graph":  # the specs that do not sample plan from the exact profile
+            own = [mandatory.exact_prob_graph(inst)] * len(specs)
+        for spec, profile in zip(specs, own):
+            assert plan(spec, inst, 3, profile) == plan(spec, inst, 3)
 
     def test_block_sampler_matches_interval_support(self):
         inst = gen_benchmark("fork", eps=0.1)
@@ -623,7 +672,7 @@ def test_completion_memory_does_not_grow_with_the_samples():
     inst = make_instance(
         [uniform_vertex("a", 0.0, 2.0, 1.5), uniform_vertex("b", 1.0, 3.0)], [("a", "b")]
     )
-    policy = _plan(AlgorithmSpec("baseline"), inst, 1)
+    policy = plan(AlgorithmSpec("baseline"), inst, 1)
     harness._query_sets(policy, harness._PairedBatch(inst, 1, 1000, 24))
     batch = harness._PairedBatch(inst, 1, 100_000, 24)
     tracemalloc.start()

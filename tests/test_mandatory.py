@@ -10,7 +10,6 @@ from orientlab import (
     MandatoryProfile,
     Realization,
     elementary_grid,
-    estimate_prob,
     estimate_profile,
     exact_prob_graph,
     gen_benchmark,
@@ -235,13 +234,13 @@ class TestEstimation:
     def test_isolated_vertex_estimates_zero(self):
         inst = make_instance([uniform_vertex("a", 0, 1), uniform_vertex("b", 0, 1)], [])
         rng = np.random.default_rng(0)
-        assert estimate_prob(inst, "a", 0.2, 0.2, rng) == 0.0
+        assert estimate_profile(inst, 0.2, 0.2, rng).probs["a"] == 0.0
 
     def test_fork_estimate_within_band(self, fork):
         rng = np.random.default_rng(6)
         inside = 0
         for _ in range(30):
-            y = estimate_prob(fork, "y", 0.05, 0.01, rng)
+            y = estimate_profile(fork, 0.05, 0.01, rng).probs["y"]
             inside += 0.45 <= y <= 0.55
         assert inside >= 29
 
@@ -298,8 +297,8 @@ def test_sampled_planning_matches_one_shot_reference(instance):
     expect = _one_map_call(instance, k, np.random.default_rng(3))
     profile = estimate_profile(instance, 0.02, 0.01, np.random.default_rng(3))
     assert profile.probs == {v: int(c) / k for v, c in zip(instance.vertex_ids, expect)}
-    last = instance.vertex_ids[-1]
-    assert estimate_prob(instance, last, 0.02, 0.01, np.random.default_rng(3)) == int(expect[-1]) / k
+    alone = estimate_profile(instance, 0.02, 0.01, np.random.default_rng(3))
+    assert alone.probs[instance.vertex_ids[-1]] == int(expect[-1]) / k
 
 
 def test_estimate_profile_memory_does_not_grow_with_the_sample_count():

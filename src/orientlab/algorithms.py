@@ -427,7 +427,7 @@ def run_leaves_first(
 # ---------------------------------------------------------------------------
 # Planning: what an algorithm decides before any weight is revealed
 
-_PLAN_TAG = 0xFFFF0001
+_PLAN_TAG = 0xFFFF0001  # the planning stream; harness._BOOT_TAG keys the bootstrap's
 
 
 @dataclass(frozen=True)

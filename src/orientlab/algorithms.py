@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .model import Instance, QueryStep, QueryTranscript, Realization
 from .vcover import (
     Cover,
     CoverGraph,
+    _bit_components,
+    _bit_indices,
+    _min_cover_bits,
     bipartition,
     build_cover_graph,
     lp_half_integral,
@@ -150,14 +153,14 @@ class OfflineOracle:
     """Optimal query cost per realization, memoized per mandatory set.
 
     The optimum is the mandatory set M plus a minimum-weight cover of the
-    cover graph induced on the non-mandatory vertices.  The oracle keeps
-    the cover graph as neighbour bitmasks, bit j for ``vertex_ids[j]``
-    (Python ints, so any vertex count), splits G - M into components by
-    a bit BFS, and solves each component once with :func:`vc_exact_small`
-    (its size bound, message and tie-break), memoized in a dict the
-    oracle owns.  Components come in the order of their least vertex id,
-    which is the order in which :func:`vc_exact_small` on all of G - M
-    meets them, so the bound trips on the same component.
+    cover graph induced on the non-mandatory vertices.  The oracle runs
+    the exact engine of :func:`vc_exact_small` on the bit view of the
+    instance's cover graph (:attr:`CoverGraph.masks`, bit j for
+    ``vertex_ids[j]``): it splits G - M into components by a bit BFS, in
+    order of their least vertex, and solves and checks each component
+    once (the same size bound, message and tie-break), memoized in a
+    dict the oracle owns.  So the bound trips on the same component as
+    :func:`vc_exact_small` on all of G - M.
     """
 
     def __init__(self, instance: Instance, vc_bound: int = 24, check: bool = True):
@@ -165,20 +168,16 @@ class OfflineOracle:
         self.vc_bound = vc_bound
         self.check = check
         self.cover_graph = build_cover_graph(instance)
-        column = {v: j for j, v in enumerate(instance.vertex_ids)}
-        self._bit = {v: 1 << j for v, j in column.items()}
-        self._all = (1 << len(column)) - 1
-        self._neighbors = [0] * len(column)  # column -> neighbour bits
-        for a, b in self.cover_graph.edges:
-            self._neighbors[column[a]] |= self._bit[b]
-            self._neighbors[column[b]] |= self._bit[a]
+        self._weights = [w for _, w in self.cover_graph.weight_items]
+        self._all = (1 << len(self._weights)) - 1
         self._memo: dict[int, tuple[frozenset[str], float]] = {}  # M -> optimum
         self._covers: dict[int, int] = {}  # component -> its cover
 
     def solve(self, mandatory: frozenset[str]) -> tuple[frozenset[str], float]:
         """Optimal query set and its cost for any realization whose
         mandatory set is ``mandatory``."""
-        return self.solve_bits(sum(self._bit[v] for v in mandatory))
+        ids = self.cover_graph.vertices
+        return self.solve_bits(sum(1 << j for j, v in enumerate(ids) if v in mandatory))
 
     def solve_bits(self, mandatory: int) -> tuple[frozenset[str], float]:
         """:meth:`solve` for the mandatory set whose bit j marks
@@ -186,40 +185,22 @@ class OfflineOracle:
         hit = self._memo.get(mandatory)
         if hit is None:
             members = mandatory
-            for comp in self._components(self._all & ~mandatory):
-                # a lone vertex needs no cover; only a bound below 1 rejects it
-                if comp & (comp - 1) or self.vc_bound < 1:
-                    members |= self._cover(comp)
-            names = frozenset(self._names(members))
+            for comp in _bit_components(self.cover_graph.masks, self._all & ~mandatory):
+                members |= self._cover(comp)
+            names = frozenset(self.cover_graph.vertices[j] for j in _bit_indices(members))
             hit = (names, math.fsum(self.instance.costs[v] for v in names))
             self._memo[mandatory] = hit
         return hit
 
-    def _names(self, bits: int) -> list[str]:
-        return [v for v, bit in self._bit.items() if bits & bit]
-
-    def _components(self, rest: int) -> Iterator[int]:
-        """The components of the cover graph induced on ``rest``, by
-        least vertex."""
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= self._neighbors[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = reach & rest & ~comp
-                comp |= frontier
-            yield comp
-            rest &= ~comp
-
     def _cover(self, comp: int) -> int:
         hit = self._covers.get(comp)
         if hit is None:
-            sub = self.cover_graph.induced(self._names(comp))
-            cover = vc_exact_small(sub, self.vc_bound)
-            hit = self._covers[comp] = sum(self._bit[v] for v in cover.members)
+            masks = self.cover_graph.masks
+            hit = _min_cover_bits(masks, self._weights, comp, self.vc_bound)
+            out = comp & ~hit
+            if any(masks[j] & out for j in _bit_indices(out)):
+                raise AssertionError("component cover leaves an edge uncovered")
+            self._covers[comp] = hit
         return hit
 
     def opt(self, realization: Realization) -> tuple[frozenset[str], float]:

@@ -4,18 +4,20 @@ Every feasible query set covers the cover graph (each leftmost/member
 pair is a witness set), so the algorithms lean on a toolbox of cover
 solvers: a half-integral LP relaxation, exact bipartite and small-graph
 solvers, a local-ratio 2-approximation, and two structured exact solvers
-(per-hyperedge enumeration and a layered-path dynamic program).
+(per-hyperedge enumeration and a layered-path dynamic program).  The
+small-graph solver works on the cover graph's bit view (neighbour masks,
+bit j for the j-th vertex): components by a bit BFS, then a branch and
+bound pruned by a greedy matching; the offline oracle shares it.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import Instance, per_instance
 
@@ -62,30 +64,24 @@ class CoverGraph:
             adj[b].add(a)
         return {v: tuple(sorted(s)) for v, s in adj.items()}
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The bit view: each vertex's neighbour mask in ``vertices``
+        order, bit j standing for ``vertices[j]``, so ascending bits are
+        name order."""
+        column = {v: j for j, v in enumerate(self.vertices)}
+        masks = [0] * len(column)
+        for a, b in self.edges:
+            masks[column[a]] |= 1 << column[b]
+            masks[column[b]] |= 1 << column[a]
+        return tuple(masks)
+
     def induced(self, subset: Iterable[str]) -> "CoverGraph":
         keep = set(subset)
         return make_cover_graph(
             {v: w for v, w in self.weight_items if v in keep},
             [e for e in self.edges if e[0] in keep and e[1] in keep],
         )
-
-    def components(self) -> list[frozenset[str]]:
-        seen: set[str] = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self.adjacency[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
 
 
 def make_cover_graph(
@@ -237,32 +233,28 @@ class _FlowNet:
 
 
 def _bipartite_min_cut(
-    weights: Mapping[str, float],
-    left: Sequence[str],
-    right: Sequence[str],
-    cross_edges: Iterable[tuple[str, str]],
-) -> tuple[float, set[str]]:
+    weights: Sequence[float], n_left: int, arcs: Iterable[tuple[int, int]]
+) -> tuple[float, set[int]]:
     """Min-weight cover of a bipartite graph via max-flow.
 
-    Returns (flow value, cover).  The cover comes from the canonical cut
-    whose source side is the set of residually reachable nodes, which
+    Nodes are indices into ``weights``: the left side is ``range(n_left)``,
+    the right side the rest, and each arc runs from a left node to a right
+    node.  Returns (flow value, cover).  The cover comes from the canonical
+    cut whose source side is the set of residually reachable nodes, which
     pins a deterministic choice among optimal covers.
     """
-    index = {v: i + 1 for i, v in enumerate(itertools.chain(left, right))}
-    net = _FlowNet(len(index) + 2)
-    s, t = 0, len(index) + 1
-    left_set = set(left)
-    for v in left:
-        net.add(s, index[v], weights[v])
-    for v in right:
-        net.add(index[v], t, weights[v])
-    for a, b in cross_edges:
-        u, v = (a, b) if a in left_set else (b, a)
-        net.add(index[u], index[v], math.inf)
+    net = _FlowNet(len(weights) + 2)
+    s, t = 0, len(weights) + 1
+    for i, w in enumerate(weights):
+        if i < n_left:
+            net.add(s, i + 1, w)
+        else:
+            net.add(i + 1, t, w)
+    for u, v in arcs:
+        net.add(u + 1, v + 1, math.inf)
     value = net.max_flow(s, t)
     reach = net.reachable(s)
-    cover = {v for v in left if index[v] not in reach}
-    cover |= {v for v in right if index[v] in reach}
+    cover = {i for i in range(len(weights)) if (i + 1 in reach) == (i >= n_left)}
     return value, cover
 
 
@@ -270,42 +262,29 @@ def _bipartite_min_cut(
 # LP relaxation via the bipartite double cover
 
 
-def _lp_core(
-    vertices: Sequence[str],
-    weights: Mapping[str, float],
-    edges: Iterable[tuple[str, str]],
-) -> tuple[dict[str, float], float]:
-    """Optimal half-integral LP solution (values and objective)."""
-    left = [f"{v}\x00L" for v in vertices]
-    right = [f"{v}\x00R" for v in vertices]
-    w2 = {f"{v}\x00L": weights[v] for v in vertices}
-    w2.update({f"{v}\x00R": weights[v] for v in vertices})
-    cross = []
-    for a, b in edges:
-        cross.append((f"{a}\x00L", f"{b}\x00R"))
-        cross.append((f"{b}\x00L", f"{a}\x00R"))
-    value, cover = _bipartite_min_cut(w2, left, right, cross)
-    x = {
-        v: ((f"{v}\x00L" in cover) + (f"{v}\x00R" in cover)) / 2.0 for v in vertices
-    }
-    return x, value / 2.0
-
-
 def lp_half_integral(g: CoverGraph) -> HalfIntegralSolution:
     """Optimal half-integral solution of the cover LP.
 
-    Solved on the bipartite double cover by max-flow; the source-side
-    minimal cut makes the ones/halves/zeros split deterministic, which
-    matters because different optimal solutions steer the threshold
-    algorithm differently.
+    Solved on the bipartite double cover by max-flow (vertex j is node j
+    on the left and node n + j on the right); the source-side minimal cut
+    makes the ones/halves/zeros split deterministic, which matters because
+    different optimal solutions steer the threshold algorithm differently.
     """
-    x, objective = _lp_core(g.vertices, g.weights, g.edges)
+    n = len(g.vertices)
+    column = {v: j for j, v in enumerate(g.vertices)}
+    arcs = []
+    for a, b in g.edges:
+        arcs.append((column[a], n + column[b]))
+        arcs.append((column[b], n + column[a]))
+    weights = [w for _, w in g.weight_items]
+    value, cover = _bipartite_min_cut(weights * 2, n, arcs)
+    x = {v: ((j in cover) + (n + j in cover)) / 2.0 for j, v in enumerate(g.vertices)}
     ones = frozenset(v for v, val in x.items() if val == 1.0)
     halves = frozenset(v for v, val in x.items() if val == 0.5)
     zeros = frozenset(v for v, val in x.items() if val == 0.0)
     sol = HalfIntegralSolution(
         values=tuple(sorted(x.items())),
-        objective=objective,
+        objective=value / 2.0,
         ones=ones,
         halves=halves,
         zeros=zeros,
@@ -353,8 +332,11 @@ def vc_bipartite_exact(
     for a, b in g.edges:
         if (a in left_set) == (b in left_set):
             raise ValueError(f"edge ({a}, {b}) inside one side")
-    value, cover = _bipartite_min_cut(g.weights, left, right, g.edges)
-    result = _cover(g.weights, cover)
+    order = left + right
+    index = {v: i for i, v in enumerate(order)}
+    arcs = [(index[a], index[b]) if a in left_set else (index[b], index[a]) for a, b in g.edges]
+    value, cover = _bipartite_min_cut([g.weights[v] for v in order], len(left), arcs)
+    result = _cover(g.weights, (order[i] for i in cover))
     if abs(result.weight - value) > 1e-6 * max(1.0, abs(value)):
         raise AssertionError("cut/cover duality mismatch")
     result.validate(g)
@@ -362,92 +344,126 @@ def vc_bipartite_exact(
 
 
 # ---------------------------------------------------------------------------
-# Exact solver for small graphs: branch and bound
+# Exact solver for small graphs: branch and bound on the bit view
 
 
-def _matching_bound(
-    edges: Sequence[tuple[str, str]], weights: Mapping[str, float]
-) -> float:
-    used: set[str] = set()
-    bound = 0.0
-    for a, b in edges:
-        if a not in used and b not in used:
-            used.add(a)
-            used.add(b)
-            bound += min(weights[a], weights[b])
-    return bound
+def _bit_indices(bits: int) -> Iterator[int]:
+    """The indices of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
-def _bb_min_cover(
-    adjacency: dict[str, set[str]], weights: Mapping[str, float]
-) -> tuple[float, tuple[str, ...]]:
-    """Branch and bound on the highest-degree vertex, LP lower bound.
+def _bit_components(masks: Sequence[int], rest: int) -> Iterator[int]:
+    """The components of the graph induced on the bits ``rest``, by
+    least vertex."""
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        yield comp
+        rest &= ~comp
 
-    Ties in cover weight resolve to the lexicographically smallest member
-    tuple, so equal-weight branches are explored rather than pruned.
+
+def _precedes(a: int, b: int) -> bool:
+    """Whether the ascending indices of ``a`` come lexicographically
+    before those of ``b`` (a proper prefix comes first)."""
+    if a == b:
+        return False
+    low = (a ^ b) & -(a ^ b)
+    # past the shared members, the set holding the lower differing bit
+    # comes first unless the other set has no member left
+    return b >= low << 1 if a & low else a < low
+
+
+def _min_cover_bits(
+    masks: Sequence[int], weights: Sequence[float], comp: int, max_component: int
+) -> int:
+    """Minimum-weight cover, as bits, of the connected component ``comp``
+    of the graph with neighbour ``masks`` and vertex ``weights``.
+
+    Branch and bound: branch on the live vertex of highest (degree,
+    index), first taking it, then all its live neighbours; prune on a
+    greedy matching over the live bits.  Ties in weight (within EPS)
+    resolve to the lexicographically smallest sorted member tuple, so
+    equal-weight branches are explored rather than pruned.
     """
+    size = comp.bit_count()
+    if size > max_component:
+        raise SolverBoundError(f"component of size {size} exceeds bound {max_component}")
     best_weight = math.inf
-    best_members: tuple[str, ...] | None = None
+    best = 0
 
-    def consider(chosen: set[str], weight: float) -> None:
-        nonlocal best_weight, best_members
-        members = tuple(sorted(chosen))
-        if weight < best_weight - EPS or (
-            abs(weight - best_weight) <= EPS
-            and (best_members is None or members < best_members)
-        ):
-            best_weight = weight
-            best_members = members
-
-    def search(adj: dict[str, set[str]], chosen: set[str], weight: float) -> None:
-        active = {v: ns for v, ns in adj.items() if ns}
+    def search(live: int, chosen: int, weight: float) -> None:
+        nonlocal best_weight, best
+        active = top = top_degree = 0
+        rest = live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            degree = (masks[j] & live).bit_count()
+            if degree:
+                active |= low
+                if degree >= top_degree:
+                    top, top_degree = j, degree
         if not active:
-            consider(chosen, weight)
+            if weight < best_weight - EPS or (
+                abs(weight - best_weight) <= EPS and _precedes(chosen, best)
+            ):
+                best_weight, best = weight, chosen
             return
         if weight > best_weight + EPS:
             return
-        edges = sorted(
-            (a, b) for a, ns in active.items() for b in ns if a < b
+        # greedy matching on the live edges in sorted order: each vertex,
+        # ascending, takes its least free neighbour above it
+        bound = 0.0
+        free = active
+        while free:
+            low = free & -free
+            free ^= low
+            mate = masks[low.bit_length() - 1] & free
+            if mate:
+                mate &= -mate
+                free ^= mate
+                bound += min(weights[low.bit_length() - 1], weights[mate.bit_length() - 1])
+        if weight + bound > best_weight + EPS:
+            return
+        v = 1 << top
+        search(active & ~v, chosen | v, weight + weights[top])
+        # exclude v: all its live neighbours join the cover
+        ns = masks[top] & active
+        search(
+            active & ~(ns | v),
+            chosen | ns,
+            weight + math.fsum(weights[u] for u in _bit_indices(ns)),
         )
-        if weight + _matching_bound(edges, weights) > best_weight + EPS:
-            return
-        _, lp_obj = _lp_core(sorted(active), weights, edges)
-        if weight + lp_obj > best_weight + EPS:
-            return
-        v = max(active, key=lambda u: (len(active[u]), u))
-        # include v
-        sub = {u: ns - {v} for u, ns in active.items() if u != v}
-        search(sub, chosen | {v}, weight + weights[v])
-        # exclude v: all its neighbors join the cover
-        ns = set(active[v])
-        drop = ns | {v}
-        sub = {u: adj_ns - drop for u, adj_ns in active.items() if u not in drop}
-        search(sub, chosen | ns, weight + math.fsum(weights[u] for u in ns))
 
-    search(adjacency, set(), 0.0)
-    assert best_members is not None
-    return best_weight, best_members
+    search(comp, 0, 0.0)
+    return best
 
 
 def vc_exact_small(g: CoverGraph, max_component: int = 24) -> Cover:
     """Exact minimum-weight cover for small graphs.
 
-    Connected components are solved independently; the size bound applies
-    per component.  Nothing is cached across calls: a caller that meets
-    the same component often memoizes it, as the offline oracle does.
+    Runs on the bit view (:attr:`CoverGraph.masks`): components split by
+    a bit BFS, in order of their least vertex, each solved by
+    :func:`_min_cover_bits`; the size bound applies per component.
+    Nothing is cached across calls: a caller that meets the same
+    component often memoizes it, as the offline oracle does.
     """
-    members: set[str] = set()
-    for comp in g.components():
-        if len(comp) > max_component:
-            raise SolverBoundError(
-                f"component of size {len(comp)} exceeds bound {max_component}"
-            )
-        if len(comp) == 1:
-            continue
-        sub = g.induced(comp)
-        adjacency = {v: set(sub.adjacency[v]) for v in sub.vertices}
-        members.update(_bb_min_cover(adjacency, sub.weights)[1])
-    result = _cover(g.weights, members)
+    weights = [w for _, w in g.weight_items]
+    members = 0
+    for comp in _bit_components(g.masks, (1 << len(g.vertices)) - 1):
+        members |= _min_cover_bits(g.masks, weights, comp, max_component)
+    result = _cover(g.weights, (g.vertices[j] for j in _bit_indices(members)))
     result.validate(g)
     return result
 

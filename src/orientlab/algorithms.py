@@ -408,7 +408,7 @@ def run_leaves_first(
 # ---------------------------------------------------------------------------
 # Planning: what an algorithm decides before any weight is revealed
 
-_PLAN_TAG = 0xFFFF0001  # the planning stream; harness._BOOT_TAG keys the bootstrap's
+_PLAN_TAG = 0xFFFF0001  # keys the planning stream: default_rng([master_seed, _PLAN_TAG])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ paired Monte-Carlo evaluator.
 
 The evaluator scores the policies that :func:`algorithms.plan` makes
 and the offline optimum on the same realizations and reports the ratio
-of means with a bootstrap confidence interval; everything is
+of means with a delta-method confidence interval; everything is
 reproducible from one master seed.
 """
 
@@ -71,9 +71,7 @@ __all__ = [
     "gen_generalized",
 ]
 
-_BOOT_TAG = 0xFFFF0002
 _BLOCK = 4096
-_BOOT_CELLS = 1 << 16  # bootstrap gather buffer: 512 KiB of float64
 _COMPLETION_ROWS = 4096  # no smaller: up to 4,096 samples, one _edge_step per hyperedge
 
 
@@ -699,7 +697,7 @@ class EvaluationReport:
     ratio: float
     ci95_ratio: tuple[float, float]
     master_seed: int
-    wall_ms: int
+    wall_ms: float
     d: float | None = None
     alpha: float | None = None
 
@@ -844,81 +842,20 @@ def _alg_costs(policy: Policy, batch: _PairedBatch) -> np.ndarray:
     return batch.score(sets, index, "algorithm stopped on an infeasible query set")
 
 
-def _block_sums(x: np.ndarray, blocks: int) -> np.ndarray:
-    """Sums of the ``np.array_split(x, blocks)`` chunks, as two reshaped
-    row sums: the first N mod blocks chunks are one longer."""
-    q, r = divmod(len(x), blocks)
-    head = x[: r * (q + 1)].reshape(r, q + 1).sum(axis=1)
-    tail = x[r * (q + 1) :].reshape(blocks - r, q).sum(axis=1)
-    return np.concatenate([head, tail])
-
-
-def _percentiles(x: np.ndarray, q: Sequence[float]) -> np.ndarray:
-    """``np.percentile(x, q, axis=1)`` of a 2-D array, bit for bit, from
-    one partition: numpy's default "linear" rule takes the virtual index
-    (n - 1) q / 100 between two order statistics a and b and, like
-    numpy's ``_lerp``, gives a + (b - a) t, or b - (b - a)(1 - t) where
-    the weight t is at least 1/2.  On numpy 2.4, np.percentile imports
-    numpy.ma, which ``run`` and ``check`` otherwise leave unimported."""
-    n = x.shape[1]
-    virtual = (n - 1) * (np.asarray(q, dtype=float) / 100)
-    below = np.floor(virtual)
-    above = below + 1
-    last = virtual >= n - 1  # numpy takes the largest value from index -1
-    below[last] = above[last] = -1
-    below, above = below.astype(np.intp), above.astype(np.intp)
-    part = np.partition(x, np.concatenate([below, above]), axis=1)
-    a, b = part[:, below].T, part[:, above].T
-    t = (virtual - below)[:, None]
-    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
-
-
-def _bootstrap_ci(
-    algs: Sequence[np.ndarray], opt: np.ndarray, master_seed: int, resamples: int = 1000
-) -> list[tuple[float, float]]:
-    """Paired bootstrap CIs for the ratio of means, one per algorithm.
-
-    Samples are aggregated into up to 1000 paired block sums first and
-    blocks are resampled, which preserves the iid bootstrap distribution
-    of the ratio while keeping the cost at resamples x blocks.  The
-    resamples depend only on the seed and the sample count, so one index
-    stream and one set of OPT resample sums serve every algorithm, and
-    each interval is the one that algorithm would get alone.  The indices
-    are drawn 32 or more resamples at a time (numpy's bounded draws below
-    2^32 buffer nothing between calls, and int64 draws take the same
-    values as int32 ones), so memory does not grow with resamples x
-    blocks.
-    """
-    rng = np.random.default_rng([master_seed, _BOOT_TAG])
-    blocks = min(len(opt), 1000)
-    sums = [_block_sums(x, blocks) for x in (opt, *algs)]
-    # The block sums sit side by side, zero-padded, in tables of width 2
-    # or 4, so one index fetches one table row: np.take copies 16- and
-    # 32-byte items several times faster than 8-, 24- or 64-byte ones.
-    width = 2 if len(sums) <= 2 else 4
-    tables = np.zeros((-(-len(sums) // width), blocks, width))
-    for j, x in enumerate(sums):
-        tables[j // width, :, j % width] = x
-    # Gather and sum a few resamples at a time into one reused buffer, so
-    # no call faults in megabytes of fresh pages.  numpy reduces a strided
-    # column with the pairwise summation of a contiguous row, so each
-    # total is bit for bit that of the resample's block sums alone.  The
-    # indices are in range: mode="clip" spares np.take a buffered copy.
-    step = max(1, _BOOT_CELLS // tables.size)
-    draw = step * -(-32 // step)  # resamples per index draw, a multiple of step
-    values = np.empty((len(tables), min(step, resamples), blocks, width))
-    totals = np.empty((len(sums), resamples))
-    for a in range(0, resamples, step):
-        if a % draw == 0:
-            idx = rng.integers(0, blocks, size=(min(draw, resamples - a), blocks))
-        rows = idx[a % draw : a % draw + step]
-        for table, part in zip(tables, values[:, : len(rows)]):
-            np.take(table, rows, axis=0, out=part, mode="clip")
-        for j, total in enumerate(totals[:, a : a + len(rows)]):
-            values[j // width, : len(rows), :, j % width].sum(axis=1, out=total)
-    ratios = totals[1:] / totals[0]
-    lo, hi = _percentiles(ratios, [2.5, 97.5])
-    return list(zip(lo.tolist(), hi.tolist()))
+def _ratio_ci(alg: np.ndarray, opt: np.ndarray) -> tuple[float, float]:
+    """95% delta-method interval for the ratio of means r = mean(alg) /
+    mean(opt) of paired samples: r +- z sd(alg - r opt) / (sqrt(N) mean(opt)),
+    the first-order linearization of the ratio.  Every realization has
+    ALG >= OPT, so the true ratio is at least 1 and the lower end is
+    raised to 1, but never above r.  At N = 1, or with zero variance, the
+    interval is [r, r]."""
+    mean_opt = float(opt.mean())
+    ratio = float(alg.mean()) / mean_opt
+    if len(opt) < 2:
+        return ratio, ratio
+    sd = float(np.std(alg - ratio * opt, ddof=1))
+    half = 1.959963984540054 * sd / (math.sqrt(len(opt)) * mean_opt)
+    return max(ratio - half, min(ratio, 1.0)), ratio + half
 
 
 def evaluate_all(
@@ -940,13 +877,15 @@ def evaluate_all(
     (:func:`algorithms.plan`), so a spec that cannot run fails before any
     realization is sampled; then the realizations are sampled and the
     optimum solved once for all specs, every spec is scored, one pass
-    checks every query set for feasibility on every realization, and one
-    bootstrap index stream gives every spec its CI.  A report's wall_ms
-    is its own plan and scoring plus an equal share of the bootstrap; the
-    first report's also includes the planning sample, the realizations
-    and optimum, and the feasibility pass.  The exact profile is a
-    per-instance table, paid by the first spec that plans from it.  A spec whose planning, or the optimum, exceeds
-    a solver bound gets the SolverBoundError in place of its report.
+    checks every query set for feasibility on every realization, and
+    each spec gets the delta-method interval of its ratio
+    (:func:`_ratio_ci`).  A report's wall_ms, in milliseconds to the
+    microsecond, is its own plan, scoring and interval; the first
+    report's also includes the planning sample, the realizations and
+    optimum, and the feasibility pass.  The exact profile is a
+    per-instance table, paid by the first spec that plans from it.  A
+    spec whose planning, or the optimum, exceeds a solver bound gets the
+    SolverBoundError in place of its report.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -981,12 +920,12 @@ def evaluate_all(
     start = time.perf_counter()
     batch.check()
     shared += time.perf_counter() - start
-    start = time.perf_counter()
-    cis = _bootstrap_ci([alg for alg, _ in scored.values()], batch.opt, master_seed)
-    share = (time.perf_counter() - start) / max(len(scored), 1)
     mean_opt = float(batch.opt.mean())
     results: list = [policy for policy, _ in planned]  # failed plans keep their error
-    for (i, (alg, seconds)), ci in zip(scored.items(), cis):
+    for i, (alg, seconds) in scored.items():
+        start = time.perf_counter()
+        ci = _ratio_ci(alg, batch.opt)
+        seconds += time.perf_counter() - start
         spec = specs[i]
         mean_alg = float(alg.mean())
         results[i] = EvaluationReport(
@@ -998,7 +937,7 @@ def evaluate_all(
             ratio=mean_alg / mean_opt,
             ci95_ratio=ci,
             master_seed=master_seed,
-            wall_ms=int((seconds + share + shared) * 1000),
+            wall_ms=round((seconds + shared) * 1000, 3),
             d=spec.threshold_used(),
             alpha=spec.alpha if spec.kind.startswith("threshold") else None,
         )

@@ -116,9 +116,8 @@ class TestRun:
 
     def test_sampled_planning_and_odd_block_runs_print_pinned_bytes(self, tmp_path, capsys):
         """Two more ``run`` commands pinned to bytes made by an earlier
-        commit: sampled planning on a weighted hypergraph with a 4-row
-        bootstrap, and a weighted gnp whose 777 bootstrap blocks divide
-        no gather or draw chunk."""
+        commit: sampled planning on a weighted hypergraph, and a weighted
+        gnp with an odd sample count, 777."""
         data = Path(__file__).parent / "data"
         hyper = gen_random("hypergraph", 11, n=12, m=5, max_size=4, unit_cost=False)
         cases = [

@@ -32,14 +32,9 @@ from orientlab import (
 )
 from orientlab import algorithms, harness, mandatory, model
 from orientlab.algorithms import plan, profiles
-from orientlab.harness import (
-    _BOOT_TAG,
-    _BlockSampler,
-    _block_sums,
-    _bootstrap_ci,
-    _percentiles,
-)
+from orientlab.harness import _BlockSampler
 from orientlab.model import per_instance
+from test_bootstrap_gather import _BOOT_TAG, _block_sums, _bootstrap_ci, _percentiles
 from test_model import uniform_vertex
 
 
@@ -292,6 +287,15 @@ class TestEvaluate:
         assert row[-1] == "0"  # timing suppressed by default
         assert float(row[2]) == pytest.approx(2 / (1 + math.sqrt(5)))
 
+    def test_wall_ms_is_timed_to_the_microsecond(self):
+        inst = gen_benchmark("fork", eps=0.01)
+        specs = [AlgorithmSpec("threshold"), AlgorithmSpec("baseline")]
+        for rep in harness.evaluate_all(inst, specs, 500, 5, "fork"):
+            assert isinstance(rep.wall_ms, float) and rep.wall_ms > 0.0
+            assert rep.wall_ms == round(rep.wall_ms, 3)
+            assert csv_row(rep, timing=True).rsplit(",", 1)[1] == str(rep.wall_ms)
+
+    # The reference bootstrap of test_bootstrap_gather.py against numpy.
     @pytest.mark.parametrize(
         "n", [1, 7, 999, 1000, 1001, 2000, 2500, 4000, 12345, 100000, 100003]
     )

@@ -35,5 +35,6 @@ def test_absent_span_names_are_the_known_ones():
     targets = {**tracer.SPAN_TARGETS, **tracer.COUNT_TARGETS}
     absent = {name for name, paths in targets.items() if not any(map(_resolves, paths))}
     # eval_chunk went with the process pool, mandatory_set_cells with the
-    # cell-assignment kernel: mandatory_matrix on weights replaced it
-    assert absent == {"harness.eval_chunk", "mandatory.mandatory_set_cells"}
+    # cell-assignment kernel: mandatory_matrix on weights replaced it; the
+    # bootstrap went, and the delta-method interval has no layer of its own
+    assert absent == {"harness.bootstrap", "harness.eval_chunk", "mandatory.mandatory_set_cells"}

@@ -161,6 +161,11 @@ class OfflineOracle:
     once (the same size bound, message and tie-break), memoized in a
     dict the oracle owns.  So the bound trips on the same component as
     :func:`vc_exact_small` on all of G - M.
+
+    Each pattern's optimum is kept as a bitmask (:meth:`optimum_bits`),
+    which the paired batch unpacks into its optimal query masks; only
+    :meth:`solve`, :meth:`solve_bits` and :meth:`opt` turn it into names
+    and a cost, memoized per pattern as well.
     """
 
     def __init__(self, instance: Instance, vc_bound: int = 24, check: bool = True):
@@ -170,7 +175,8 @@ class OfflineOracle:
         self.cover_graph = build_cover_graph(instance)
         self._weights = [w for _, w in self.cover_graph.weight_items]
         self._all = (1 << len(self._weights)) - 1
-        self._memo: dict[int, tuple[frozenset[str], float]] = {}  # M -> optimum
+        self._optima: dict[int, int] = {}  # M -> optimum, as bits
+        self._memo: dict[int, tuple[frozenset[str], float]] = {}  # M -> names, cost
         self._covers: dict[int, int] = {}  # component -> its cover
 
     def solve(self, mandatory: frozenset[str]) -> tuple[frozenset[str], float]:
@@ -184,12 +190,21 @@ class OfflineOracle:
         ``vertex_ids[j]``."""
         hit = self._memo.get(mandatory)
         if hit is None:
-            members = mandatory
-            for comp in _bit_components(self.cover_graph.masks, self._all & ~mandatory):
-                members |= self._cover(comp)
-            names = frozenset(self.cover_graph.vertices[j] for j in _bit_indices(members))
+            ids = self.cover_graph.vertices
+            names = frozenset(ids[j] for j in _bit_indices(self.optimum_bits(mandatory)))
             hit = (names, math.fsum(self.instance.costs[v] for v in names))
             self._memo[mandatory] = hit
+        return hit
+
+    def optimum_bits(self, mandatory: int) -> int:
+        """The optimal query set for the mandatory set ``mandatory``, as
+        bits like the mandatory set: bit j marks ``vertex_ids[j]``."""
+        hit = self._optima.get(mandatory)
+        if hit is None:
+            hit = mandatory
+            for comp in _bit_components(self.cover_graph.masks, self._all & ~mandatory):
+                hit |= self._cover(comp)
+            self._optima[mandatory] = hit
         return hit
 
     def _cover(self, comp: int) -> int:

@@ -492,13 +492,21 @@ def enumerate_cell_realizations(
 def exact_expected_opt(instance: Instance, max_combos: int = 10**6) -> float:
     """Expected optimal query cost by enumerating joint cell assignments:
     :func:`mandatory_matrix` of each block of representative weights, the
-    cost of each row from the oracle, which solves each mandatory set
-    once, and one ``math.fsum`` of the probability-weighted costs."""
+    cost of each distinct row from the oracle, in order of first
+    occurrence, and one ``math.fsum`` of the probability-weighted costs
+    (exactly rounded, so the order of its terms does not matter)."""
     oracle = OfflineOracle(instance)
+
+    def terms(probs: np.ndarray, weights: np.ndarray) -> list[float]:
+        mandatory = mandatory_matrix(instance, weights)
+        index, first = _number_rows(mandatory)
+        costs = [oracle.solve_bits(bits)[1] for bits in _row_bits(mandatory[first])]
+        return (probs * np.array(costs)[index]).tolist()
+
     return math.fsum(
-        prob * oracle.solve_bits(bits)[1]
-        for probs, _, weights in _cell_blocks(instance, max_combos)
-        for prob, bits in zip(probs.tolist(), _row_bits(mandatory_matrix(instance, weights)))
+        itertools.chain.from_iterable(
+            terms(probs, weights) for probs, _, weights in _cell_blocks(instance, max_combos)
+        )
     )
 
 
@@ -709,6 +717,15 @@ def _row_bits(masks: np.ndarray) -> list[int]:
     return [int.from_bytes(data[a : a + width], "little") for a in range(0, len(data), width)]
 
 
+def _bit_rows(rows: Sequence[int], width: int) -> np.ndarray:
+    """The inverse of :func:`_row_bits`: ints in, a len(rows) x width
+    boolean matrix out, column j from bit j, in one ``np.unpackbits``."""
+    size = -(-width // 8)
+    data = b"".join(row.to_bytes(size, "little") for row in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), size)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
+
+
 def _number_rows(masks: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Number the distinct rows of a boolean matrix in order of first
     occurrence: the number of every row, and the first row of each."""
@@ -745,8 +762,8 @@ class _PairedBatch:
         self.pattern, first = _number_rows(mandatory)  # realization -> pattern
         self.patterns = mandatory[first]  # pattern -> mandatory mask
         oracle = OfflineOracle(instance, vc_bound)
-        optimal = [self.mask(oracle.solve_bits(bits)[0]) for bits in _row_bits(self.patterns)]
-        self.optimal = np.array(optimal)  # pattern -> optimal query mask
+        optima = [oracle.optimum_bits(bits) for bits in _row_bits(self.patterns)]
+        self.optimal = _bit_rows(optima, len(instance.vertices))  # pattern -> optimal query mask
         self._scored: list[tuple[np.ndarray, np.ndarray, str]] = []
         self.opt = self.score(self.optimal, self.pattern, "offline optimum is not feasible")
 

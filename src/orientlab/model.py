@@ -11,6 +11,7 @@ minimum-weight vertex while paying as little query cost as possible.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -178,7 +179,7 @@ class Instance:
     def by_id(self) -> dict[str, UncertainVertex]:
         return {v.id: v for v in self.vertices}
 
-    @property
+    @cached_property
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
 
@@ -193,11 +194,11 @@ class Instance:
     @cached_property
     def pmf_table(self) -> tuple[tuple[list[float], np.ndarray, np.ndarray], ...]:
         """Per vertex, in ``vertex_ids`` order: the cumulative masses of its
-        pmf cells but the last, summed in cell order, and the cells' lower
-        and upper ends."""
+        pmf cells but the last, summed in cell order (the sums of
+        ``np.cumsum``), and the cells' lower and upper ends."""
         table = []
         for v in self.vertices:
-            cum = np.cumsum([c.mass for c in v.pmf.cells[:-1]]).tolist()
+            cum = list(itertools.accumulate(c.mass for c in v.pmf.cells[:-1]))
             table.append((cum, *np.array([(c.cell.lo, c.cell.hi) for c in v.pmf.cells]).T))
         return tuple(table)
 
@@ -220,7 +221,11 @@ class Instance:
 
     def is_reduced(self) -> bool:
         """True iff every hyperedge member overlaps, and is not contained
-        in, the hyperedge's leftmost interval."""
+        in, the hyperedge's leftmost interval; checked once per instance."""
+        return self._reduced
+
+    @cached_property
+    def _reduced(self) -> bool:
         for f in self.hyperedges:
             first = self.by_id[f[0]].interval
             for u in f[1:]:

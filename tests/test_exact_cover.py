@@ -6,7 +6,8 @@ prunes on a greedy matching.  The set-based branch and bound it replaced,
 with its max-flow LP bound at every node, is kept here as the reference:
 members and weight must be equal on a seeded random corpus, on every named
 benchmark and on structured 20-24 vertex graphs, and the oracle must give
-M plus the reference cover of G - M, with the same bound message.
+M plus the reference cover of G - M, with the same bound message, and
+the optima it keeps as bitmasks must unpack to the same members.
 ``lp_half_integral`` builds its double cover on integer indices; its split
 must equal the one of the name-based construction kept here.
 """
@@ -26,12 +27,14 @@ from orientlab import (
     build_cover_graph,
     exact_prob_graph,
     estimate_profile,
+    exact_expected_opt,
     gen_benchmark,
     gen_random,
     lp_half_integral,
     make_cover_graph,
     vc_exact_small,
 )
+from orientlab.harness import _bit_rows, _row_bits
 from orientlab.vcover import EPS, _FlowNet
 
 
@@ -301,6 +304,33 @@ def test_oracle_is_mandatory_set_plus_reference_cover():
             expect = (members, math.fsum(instance.costs[v] for v in members))
             assert oracle.solve_bits(bits) == expect
             assert oracle.solve(mandatory) == expect
+
+
+def test_unpacked_optimum_bits_are_the_solve_bits_names():
+    """The batch's optimal masks: each pattern's optimum as bits, all
+    unpacked at once, name the members of ``solve_bits``."""
+    rng = np.random.default_rng(8)
+    for instance in _oracle_cases():
+        ids = instance.vertex_ids
+        masks = [int(rng.integers(0, 1 << len(ids))) for _ in range(12)]
+        oracle = OfflineOracle(instance)
+        optimal = _bit_rows([oracle.optimum_bits(bits) for bits in masks], len(ids))
+        assert optimal.dtype == bool and optimal.shape == (len(masks), len(ids))
+        names = OfflineOracle(instance)
+        for bits, row in zip(masks, optimal.tolist()):
+            assert frozenset(itertools.compress(ids, row)) == names.solve_bits(bits)[0]
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 63, 64, 65, 130])
+def test_bit_rows_inverts_row_bits(width):
+    masks = np.random.default_rng(width).random((50, width)) < 0.5
+    assert np.array_equal(_bit_rows(_row_bits(masks), width), masks)
+
+
+def test_exact_expected_opt_of_a_weighted_7_vertex_gnp():
+    # 7^7 = 823,543 cell assignments
+    instance = gen_random("gnp", 0, n=7, p=0.4, unit_cost=False)
+    assert exact_expected_opt(instance) == 8.772182045397836
 
 
 def test_oracle_bound_message_matches_reference():

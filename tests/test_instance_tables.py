@@ -6,10 +6,12 @@ functions of the immutable instance: each is built on first use, kept on
 the instance and shared, read-only, by every later call.  The weight map
 writes its weights vertex-major and returns them transposed; its values
 and its redraw order must be those of the row-major map kept here as the
-reference.
+reference.  The instance's own constants (``vertex_ids``, the pmf
+table's cumulative masses, reducedness) are computed once as well.
 """
 
 import collections
+import functools
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from orientlab import AlgorithmSpec, CoverGraph, build_cover_graph, gen_benchmar
 from orientlab import harness, mandatory, vcover
 from orientlab.harness import evaluate_all
 from orientlab.mandatory import mandatory_matrix
-from orientlab.model import per_instance, weights_from_uniforms
+from orientlab.model import Instance, per_instance, weights_from_uniforms
 
 TABLES = [
     (mandatory, "_edge_groups"),
@@ -143,3 +145,33 @@ def test_vertex_major_weight_map_equals_row_major_map(seed):
     assert np.array_equal(
         mandatory_matrix(instance, weights[0]), mandatory_matrix(instance, weights[1])
     )
+
+
+@pytest.mark.parametrize("name", sorted(harness.BENCHMARKS))
+def test_pmf_table_sums_are_those_of_cumsum(name):
+    instances = [gen_benchmark(name)]
+    instances += [gen_random("gnp", s, n=10, p=0.4, unit_cost=False) for s in range(3)]
+    for instance in instances:
+        for v, (cum, _, _) in zip(instance.vertices, instance.pmf_table, strict=True):
+            expect = np.cumsum([c.mass for c in v.pmf.cells[:-1]]).tolist()
+            assert cum == expect and all(type(x) is float for x in cum)
+
+
+def test_instance_constants_are_computed_once(monkeypatch):
+    instance = gen_random("gnp", 4, n=9, p=0.4)
+    assert instance.vertex_ids is instance.vertex_ids
+    assert instance.vertex_ids == tuple(v.id for v in instance.vertices)
+    # evaluate_all checks reducedness once per instance
+    checks = collections.Counter()
+    reduced = Instance.__dict__["_reduced"].func
+
+    def counted(self):
+        checks[self] += 1
+        return reduced(self)
+
+    kept = functools.cached_property(counted)
+    kept.__set_name__(Instance, "_reduced")
+    monkeypatch.setattr(Instance, "_reduced", kept)
+    for _ in range(3):
+        evaluate_all(instance, [AlgorithmSpec("threshold")], 50, 1)
+    assert checks == {instance: 1}

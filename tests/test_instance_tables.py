@@ -147,9 +147,8 @@ def test_vertex_major_weight_map_equals_row_major_map(seed):
     )
 
 
-@pytest.mark.parametrize("name", sorted(harness.BENCHMARKS))
-def test_pmf_table_sums_are_those_of_cumsum(name):
-    instances = [gen_benchmark(name)]
+def test_pmf_table_sums_are_those_of_cumsum():
+    instances = [gen_benchmark(name) for name in sorted(harness.BENCHMARKS)]
     instances += [gen_random("gnp", s, n=10, p=0.4, unit_cost=False) for s in range(3)]
     for instance in instances:
         for v, (cum, _, _) in zip(instance.vertices, instance.pmf_table, strict=True):

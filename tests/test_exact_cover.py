@@ -25,9 +25,9 @@ from orientlab import (
     OfflineOracle,
     SolverBoundError,
     build_cover_graph,
+    exact_expected_opt,
     exact_prob_graph,
     estimate_profile,
-    exact_expected_opt,
     gen_benchmark,
     gen_random,
     lp_half_integral,

@@ -492,21 +492,13 @@ def enumerate_cell_realizations(
 def exact_expected_opt(instance: Instance, max_combos: int = 10**6) -> float:
     """Expected optimal query cost by enumerating joint cell assignments:
     :func:`mandatory_matrix` of each block of representative weights, the
-    cost of each distinct row from the oracle, in order of first
-    occurrence, and one ``math.fsum`` of the probability-weighted costs
-    (exactly rounded, so the order of its terms does not matter)."""
+    cost of each row from the oracle, which solves each mandatory set
+    once, and one ``math.fsum`` of the probability-weighted costs."""
     oracle = OfflineOracle(instance)
-
-    def terms(probs: np.ndarray, weights: np.ndarray) -> list[float]:
-        mandatory = mandatory_matrix(instance, weights)
-        index, first = _number_rows(mandatory)
-        costs = [oracle.solve_bits(bits)[1] for bits in _row_bits(mandatory[first])]
-        return (probs * np.array(costs)[index]).tolist()
-
     return math.fsum(
-        itertools.chain.from_iterable(
-            terms(probs, weights) for probs, _, weights in _cell_blocks(instance, max_combos)
-        )
+        prob * oracle.solve_bits(bits)[1]
+        for probs, _, weights in _cell_blocks(instance, max_combos)
+        for prob, bits in zip(probs.tolist(), _row_bits(mandatory_matrix(instance, weights)))
     )
 
 

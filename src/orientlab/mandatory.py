@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import Instance, Realization, _difference, per_instance, weights_from_uniforms
+from .model import Instance, Realization, per_instance, weights_from_uniforms
 
 __all__ = [
     "MandatoryProfile",
@@ -369,39 +369,18 @@ def exact_prob_graph(instance: Instance) -> MandatoryProfile:
     For an edge {u, v} the events "w_u in I_v" are independent across
     neighbors u, so p_v = 1 - prod_u P[w_u not in I_v].  Computed exactly
     in integer ratios and rounded once, so that e.g. a single-neighbor
-    vertex gets back exactly the overlap mass.  Each vertex's cells are
-    turned into integers once: their ends, ``mass.as_integer_ratio()``
-    and exact width.  A cell wholly inside I_v adds its mass ratio; only
-    a cell that I_v cuts takes mass * overlap / width.  The fraction has
-    the value of :meth:`Pmf.mass_ratio` on every cell, so the one
-    rounding gives the same float.
+    vertex gets back exactly the overlap mass.  Each neighbor's
+    :meth:`Pmf.mass_ratio` reads the integer ratios its pmf keeps for its
+    cells, so a cell wholly inside I_v adds its mass ratio and only a cell
+    that I_v cuts takes mass * overlap / width.
     """
     if instance.kind != "graph":
         raise ValueError("exact probabilities only for graphs; use a sampled estimate")
-    cells = {
-        v.id: [
-            (c.cell.lo, c.cell.hi, *c.mass.as_integer_ratio(), *_difference(c.cell.hi, c.cell.lo))
-            for c in v.pmf.cells
-        ]
-        for v in instance.vertices
-    }
     probs: dict[str, float] = {}
     for v in instance.vertices:
-        lo, hi = v.interval.lo, v.interval.hi
         miss_n, miss_d = 1, 1
         for u in instance.graph_neighbors[v.id]:
-            n, d = 0, 1
-            for c_lo, c_hi, m_n, m_d, width_n, width_d in cells[u]:
-                if c_hi <= lo:
-                    continue
-                if c_lo >= hi:
-                    break  # the cells are sorted
-                if lo <= c_lo and c_hi <= hi:
-                    n, d = n * m_d + m_n * d, d * m_d
-                else:
-                    overlap_n, overlap_d = _difference(min(c_hi, hi), max(c_lo, lo))
-                    term_n, term_d = m_n * overlap_n * width_d, m_d * overlap_d * width_n
-                    n, d = n * term_d + term_n * d, d * term_d
+            n, d = instance.by_id[u].pmf.mass_ratio(v.interval)
             miss_n, miss_d = miss_n * (d - n), miss_d * d
         probs[v.id] = (miss_d - miss_n) / miss_d
     return MandatoryProfile(types.MappingProxyType(probs), method="exact-graph")

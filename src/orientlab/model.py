@@ -128,19 +128,32 @@ class Pmf:
     def mass_ratio(self, window: Interval) -> tuple[int, int]:
         """P[w in window] exactly, as an unreduced fraction num / den with
         den > 0: every float is an integer ratio, so the sum of
-        mass * overlap / width over the cells is one; no gcd is taken."""
+        mass * overlap / width over the cells is one; no gcd is taken.  A
+        cell wholly inside the window adds its mass; only a cell the
+        window cuts takes mass * overlap / width."""
         num, den = 0, 1
-        for c in self.cells:
-            lo = max(c.cell.lo, window.lo)
-            hi = min(c.cell.hi, window.hi)
-            if lo < hi:
-                m_n, m_d = c.mass.as_integer_ratio()
-                overlap_n, overlap_d = _difference(hi, lo)
-                width_n, width_d = _difference(c.cell.hi, c.cell.lo)
+        for c_lo, c_hi, m_n, m_d, width_n, width_d in self._integer_cells:
+            if c_hi <= window.lo:
+                continue
+            if c_lo >= window.hi:
+                break  # the cells are sorted
+            if window.lo <= c_lo and c_hi <= window.hi:
+                num, den = num * m_d + m_n * den, den * m_d
+            else:
+                overlap_n, overlap_d = _difference(min(c_hi, window.hi), max(c_lo, window.lo))
                 term_n = m_n * overlap_n * width_d
                 term_d = m_d * overlap_d * width_n
                 num, den = num * term_d + term_n * den, den * term_d
         return num, den
+
+    @cached_property
+    def _integer_cells(self) -> tuple[tuple[float, float, int, int, int, int], ...]:
+        """Per cell, computed once: its ends, its mass as an integer ratio
+        and its exact width as an integer ratio."""
+        return tuple(
+            (c.cell.lo, c.cell.hi, *c.mass.as_integer_ratio(), *_difference(c.cell.hi, c.cell.lo))
+            for c in self.cells
+        )
 
 
 @dataclass(frozen=True)

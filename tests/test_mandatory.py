@@ -361,55 +361,11 @@ def _exact_cases():
             nl, nr = int(rng.integers(2, 7)), int(rng.integers(2, 7))
             cases.append(gen_random("bipartite", rng, nl=nl, nr=nr, p=0.45, unit_cost=unit_cost))
             cases.append(gen_random("hypergraph", rng, n=n, m=5, unit_cost=unit_cost))
-    return cases
-
-
-@pytest.mark.parametrize("instance", _exact_cases())
-def test_integer_ratios_equal_rational_reference(instance):
-    for v in instance.vertices:
-        for u in instance.vertices:
-            num, den = v.pmf.mass_ratio(u.interval)
-            assert Fraction(num, den) == _mass_in_fraction(v.pmf, u.interval)
-            assert v.pmf.mass_in(u.interval) == float(Fraction(num, den))
-    assert probability_matrix(instance) == _probability_matrix_fraction(instance)
-    if instance.kind == "graph":
-        assert exact_prob_graph(instance).probs == _exact_prob_graph_fraction(instance)
-
-
-# ---------------------------------------------------------------------------
-# Exact probabilities against the per-neighbour big-int computation
-
-
-def _exact_prob_graph_big_int(instance):
-    """The computation ``exact_prob_graph`` replaced: ``Pmf.mass_ratio``
-    of every neighbour, the product of the misses in integers, and one
-    rounding."""
-    probs = {}
-    for v in instance.vertices:
-        miss_n, miss_d = 1, 1
-        for u in instance.graph_neighbors[v.id]:
-            n, d = instance.by_id[u].pmf.mass_ratio(v.interval)
-            miss_n, miss_d = miss_n * (d - n), miss_d * d
-        probs[v.id] = (miss_d - miss_n) / miss_d
-    return probs
-
-
-def _cell_cases(instance):
-    """How many (vertex, neighbour cell) pairs of ``exact_prob_graph``
-    fall wholly inside the vertex's interval, and how many are cut by it."""
-    inside = cut = 0
-    for v in instance.vertices:
-        window = v.interval
-        for u in instance.graph_neighbors[v.id]:
-            for c in instance.by_id[u].pmf.cells:
-                if window.covers(c.cell):
-                    inside += 1
-                elif window.intersects(c.cell):
-                    cut += 1
-    return inside, cut
+    return cases + list(_graph_corpus())
 
 
 def _graph_corpus():
+    """330 seeded gnp, bipartite and star graphs, unit and random costs."""
     rng = np.random.default_rng(1818)
     for t in range(330):
         unit_cost = t % 2 == 0
@@ -424,14 +380,29 @@ def _graph_corpus():
             yield gen_random("star", rng, n=int(rng.integers(1, 9)), unit_cost=unit_cost)
 
 
-def test_exact_prob_graph_equals_big_int_computation():
-    graphs = list(_graph_corpus())
-    graphs += [g for g in map(gen_benchmark, sorted(BENCHMARKS)) if g.kind == "graph"]
-    assert len(graphs) >= 300
+@pytest.mark.parametrize("instance", _exact_cases())
+def test_integer_ratios_equal_rational_reference(instance):
+    for v in instance.vertices:
+        for u in instance.vertices:
+            num, den = v.pmf.mass_ratio(u.interval)
+            assert Fraction(num, den) == _mass_in_fraction(v.pmf, u.interval)
+            assert v.pmf.mass_in(u.interval) == float(Fraction(num, den))
+    assert probability_matrix(instance) == _probability_matrix_fraction(instance)
+    if instance.kind == "graph":
+        assert exact_prob_graph(instance).probs == _exact_prob_graph_fraction(instance)
+
+
+def test_exact_cases_cover_and_cut_neighbor_cells():
+    """Both branches of ``Pmf.mass_ratio`` run many times in the cases
+    above: a neighbor's cell wholly inside a vertex's interval, and one
+    the interval cuts."""
     inside = cut = 0
-    for instance in graphs:
-        assert dict(exact_prob_graph(instance).probs) == _exact_prob_graph_big_int(instance)
-        a, b = _cell_cases(instance)
-        inside, cut = inside + a, cut + b
-    # both branches of the cell loop are exercised many times
+    for instance in _exact_cases():
+        for v in instance.vertices:
+            for u in instance.graph_neighbors[v.id]:
+                for c in instance.by_id[u].pmf.cells:
+                    if v.interval.covers(c.cell):
+                        inside += 1
+                    elif v.interval.intersects(c.cell):
+                        cut += 1
     assert inside > 1000 and cut > 1000

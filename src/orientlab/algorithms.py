@@ -163,38 +163,27 @@ class OfflineOracle:
     :func:`vc_exact_small` on all of G - M.
 
     Each pattern's optimum is kept as a bitmask (:meth:`optimum_bits`),
-    which the paired batch unpacks into its optimal query masks; only
-    :meth:`solve`, :meth:`solve_bits` and :meth:`opt` turn it into names
-    and a cost, memoized per pattern as well.
+    which the paired batch unpacks into its optimal query masks and
+    costs; :meth:`solve` and :meth:`opt`, the scalar reference, turn it
+    into names and a cost on each call.
     """
 
-    def __init__(self, instance: Instance, vc_bound: int = 24, check: bool = True):
+    def __init__(self, instance: Instance, vc_bound: int = 24):
         self.instance = instance
         self.vc_bound = vc_bound
-        self.check = check
         self.cover_graph = build_cover_graph(instance)
         self._weights = [w for _, w in self.cover_graph.weight_items]
         self._all = (1 << len(self._weights)) - 1
         self._optima: dict[int, int] = {}  # M -> optimum, as bits
-        self._memo: dict[int, tuple[frozenset[str], float]] = {}  # M -> names, cost
         self._covers: dict[int, int] = {}  # component -> its cover
 
     def solve(self, mandatory: frozenset[str]) -> tuple[frozenset[str], float]:
         """Optimal query set and its cost for any realization whose
         mandatory set is ``mandatory``."""
         ids = self.cover_graph.vertices
-        return self.solve_bits(sum(1 << j for j, v in enumerate(ids) if v in mandatory))
-
-    def solve_bits(self, mandatory: int) -> tuple[frozenset[str], float]:
-        """:meth:`solve` for the mandatory set whose bit j marks
-        ``vertex_ids[j]``."""
-        hit = self._memo.get(mandatory)
-        if hit is None:
-            ids = self.cover_graph.vertices
-            names = frozenset(ids[j] for j in _bit_indices(self.optimum_bits(mandatory)))
-            hit = (names, math.fsum(self.instance.costs[v] for v in names))
-            self._memo[mandatory] = hit
-        return hit
+        bits = self.optimum_bits(sum(1 << j for j, v in enumerate(ids) if v in mandatory))
+        names = frozenset(ids[j] for j in _bit_indices(bits))
+        return names, math.fsum(self.instance.costs[v] for v in names)
 
     def optimum_bits(self, mandatory: int) -> int:
         """The optimal query set for the mandatory set ``mandatory``, as
@@ -220,7 +209,7 @@ class OfflineOracle:
 
     def opt(self, realization: Realization) -> tuple[frozenset[str], float]:
         members, cost = self.solve(mandatory_set(self.instance, realization))
-        if self.check and not is_feasible(self.instance, realization, members):
+        if not is_feasible(self.instance, realization, members):
             raise AssertionError("offline optimum is not feasible")
         return members, cost
 
@@ -438,7 +427,6 @@ class AlgorithmSpec:
     delta: float = 0.1
     vc_strategy: str | None = None
     cover: tuple[str, ...] | None = None
-    k: int | None = None
 
     @property
     def algorithm_id(self) -> str:
@@ -452,8 +440,6 @@ class AlgorithmSpec:
             )
         if self.kind == "fixed-cover":
             return f"fixed-cover({'+'.join(self.cover or ())})"
-        if self.kind == "two-stage-prefix":
-            return f"two-stage-prefix(k={self.k})"
         return self.kind
 
     def config(self, vc_strategy: str = "exact-small") -> ThresholdConfig:
@@ -472,12 +458,12 @@ class Policy:
     """A planned algorithm: what it decides before any weight is revealed.
 
     ``stage1`` is queried first and the adaptive completion finishes the
-    run; leaves-first and two-stage-prefix follow their own rules.  When
-    stage 1 covers the cover graph the completion queries exactly the
-    mandatory vertices outside it, so a run queries ``stage1`` plus the
-    mandatory set M(r) and is scored from M alone.  ``adaptive`` marks the
-    policies whose query sets depend on more than M(r): the batched
-    completion, or the closed form of two-stage-prefix, gives them.
+    run; leaves-first follows its own stage-1 rule.  When stage 1 covers
+    the cover graph the completion queries exactly the mandatory vertices
+    outside it, so a run queries ``stage1`` plus the mandatory set M(r)
+    and is scored from M alone.  ``adaptive`` marks the policies whose
+    query sets depend on more than M(r): the batched completion gives
+    them.
     """
 
     spec: AlgorithmSpec
@@ -581,10 +567,9 @@ def plan(
         stage1 = ()
     elif spec.kind == "offline-opt":
         return Policy(spec, (), adaptive=False)
-    elif spec.kind in ("leaves-first", "two-stage-prefix"):
+    elif spec.kind == "leaves-first":
         if len(instance.hyperedges) != 1:
-            name = "leaves-first" if spec.kind == "leaves-first" else "two-stage prefix"
-            raise ValueError(f"{name} policy is defined for a single hyperedge")
+            raise ValueError("leaves-first policy is defined for a single hyperedge")
         return Policy(spec, (), adaptive=True)
     else:
         raise ValueError(f"unknown algorithm kind {spec.kind!r}")

@@ -362,11 +362,7 @@ def gen_random(
             for j in range(i + 1, n)
             if rng.random() < p
         ]
-        instance, forced = reduce_instance(make_instance(verts, edges))
-        assert not forced
-        return instance
-
-    if family == "hypergraph":
+    elif family == "hypergraph":
         n = params.pop("n", 8)
         m = params.pop("m", 4)
         max_size = params.pop("max_size", 4)
@@ -377,11 +373,7 @@ def gen_random(
             size = int(rng.integers(2, min(max_size, n) + 1))
             members = [str(u) for u in rng.choice(ids, size=size, replace=False)]
             edges.append(members)
-        instance, forced = reduce_instance(make_instance(verts, edges))
-        assert not forced
-        return instance
-
-    if family == "bipartite":
+    elif family == "bipartite":
         nl = params.pop("nl", 4)
         nr = params.pop("nr", 4)
         p = params.pop("p", 0.4)
@@ -395,22 +387,14 @@ def gen_random(
         ]
         if not edges:
             edges = [[f"l{0:02d}", f"r{0:02d}"]]
-        instance, forced = reduce_instance(make_instance(verts, edges))
-        assert not forced
-        return instance
-
-    if family == "star":
+    elif family == "star":
         n = params.pop("n", 5)
         verts = [_random_vertex("c", rng, spread, unit_cost)]
         edges = []
         for i in range(n):
             verts.append(_random_vertex(f"u{i:02d}", rng, spread, unit_cost))
             edges.append(["c", f"u{i:02d}"])
-        instance, forced = reduce_instance(make_instance(verts, edges))
-        assert not forced
-        return instance
-
-    if family == "interval-layers":
+    elif family == "interval-layers":
         k = params.pop("k", 2)
         n = params.pop("n", 8)
         step = params.pop("step", 0.3)
@@ -421,7 +405,7 @@ def gen_random(
         by_id = {v.id: v for v in verts}
         adjacency: dict[str, set[str]] = {vid: set() for vid in ids}
         layers: list[list[str]] = []
-        edges: list[list[str]] = []
+        edges = []
         for _ in range(k):
             layer = [vid for vid in ids if rng.random() < 0.75]
             layers.append(layer)
@@ -434,11 +418,11 @@ def gen_random(
                     adjacency[a].add(b)
                     adjacency[b].add(a)
                     edges.append([a, b])
-        instance, forced = reduce_instance(make_instance(verts, edges))
-        assert not forced
-        return instance, layers
-
-    raise ValueError(f"unknown random family {family!r}")
+    else:
+        raise ValueError(f"unknown random family {family!r}")
+    instance, forced = reduce_instance(make_instance(verts, edges))
+    assert not forced
+    return (instance, layers) if family == "interval-layers" else instance
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +475,15 @@ def enumerate_cell_realizations(
 
 def exact_expected_opt(instance: Instance, max_combos: int = 10**6) -> float:
     """Expected optimal query cost by enumerating joint cell assignments:
-    :func:`mandatory_matrix` of each block of representative weights, the
-    cost of each row from the oracle, which solves each mandatory set
-    once, and one ``math.fsum`` of the probability-weighted costs."""
+    the optimum of a :class:`_PairedBatch` on each block of representative
+    weights, all blocks sharing one oracle, which solves each mandatory
+    set once, and one ``math.fsum`` of the probability-weighted costs."""
     oracle = OfflineOracle(instance)
     return math.fsum(
-        prob * oracle.solve_bits(bits)[1]
-        for probs, _, weights in _cell_blocks(instance, max_combos)
-        for prob, bits in zip(probs.tolist(), _row_bits(mandatory_matrix(instance, weights)))
+        itertools.chain.from_iterable(
+            (probs * _PairedBatch(instance, weights, oracle).opt).tolist()
+            for probs, _, weights in _cell_blocks(instance, max_combos)
+        )
     )
 
 
@@ -733,27 +718,30 @@ def _number_rows(masks: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 class _PairedBatch:
-    """Realizations 0..n-1 of one master seed, sampled once and reduced to
-    their mandatory sets, with the optimum solved once per distinct set.
+    """Given rows of realization weights, reduced to their mandatory sets,
+    with the optimum found and costed once per distinct set: the one place
+    where an optimum is costed, for the sampled realizations of
+    :func:`evaluate_all` and the enumerated ones of
+    :func:`exact_expected_opt`.
 
     Distinct mandatory sets ("patterns") are numbered in order of first
-    occurrence, so a cover-solver bound trips on the same realization as
-    it would in a realization-by-realization scan.  Every query set scored
-    here is checked for feasibility on every realization by :meth:`check`,
-    in one pass over the batch.
+    occurrence and handed to ``oracle`` in that order, so a cover-solver
+    bound trips on the same realization as it would in a
+    realization-by-realization scan.  Every query set scored here is
+    checked for feasibility on every realization by :meth:`check`, in one
+    pass over the batch.
     """
 
-    def __init__(self, instance: Instance, master_seed: int, n_samples: int, vc_bound: int):
+    def __init__(self, instance: Instance, weights: np.ndarray, oracle: OfflineOracle):
         self.instance = instance
-        self.weights = _BlockSampler(instance, master_seed).weights(0, n_samples)
+        self.weights = weights
         self.rows = _kernel_rows(instance)
-        blocks = range(0, n_samples, self.rows)
+        blocks = range(0, len(weights), self.rows)
         mandatory = np.concatenate(
-            [mandatory_matrix(instance, self.weights[a : a + self.rows]) for a in blocks]
+            [mandatory_matrix(instance, weights[a : a + self.rows]) for a in blocks]
         )
         self.pattern, first = _number_rows(mandatory)  # realization -> pattern
         self.patterns = mandatory[first]  # pattern -> mandatory mask
-        oracle = OfflineOracle(instance, vc_bound)
         optima = [oracle.optimum_bits(bits) for bits in _row_bits(self.patterns)]
         self.optimal = _bit_rows(optima, len(instance.vertices))  # pattern -> optimal query mask
         self._scored: list[tuple[np.ndarray, np.ndarray, str]] = []
@@ -803,21 +791,6 @@ def _leaves_first_stage1(instance: Instance, weights: np.ndarray) -> np.ndarray:
     return queried
 
 
-def _two_stage_prefix(instance: Instance, k: int, weights: np.ndarray) -> np.ndarray:
-    """Query sets of :func:`run_two_stage_prefix` on every row: the
-    k-prefix, plus every member when some other member's lower end lies
-    below the prefix's minimum weight."""
-    ((cols, lo, _),) = _hyperedge_columns(instance)
-    w_star = np.full(len(weights), np.inf)
-    if k > 0:
-        w_star = weights[:, cols[:k]].min(axis=1)
-    undercut = (lo[k:] < w_star).any(axis=0)
-    queried = np.zeros(weights.shape, dtype=bool)
-    queried[:, cols[:k]] = True
-    queried[np.ix_(undercut, cols)] = True
-    return queried
-
-
 def _query_sets(policy: Policy, batch: _PairedBatch) -> tuple[np.ndarray, np.ndarray]:
     """Query sets of a planned policy: its distinct query masks, and the
     number of the mask of each realization.  A cover-first set and the
@@ -828,18 +801,15 @@ def _query_sets(policy: Policy, batch: _PairedBatch) -> tuple[np.ndarray, np.nda
         return batch.optimal, batch.pattern
     if not policy.adaptive:
         return batch.patterns | batch.mask(policy.stage1), batch.pattern
-    if spec.kind == "two-stage-prefix":
-        queried = _two_stage_prefix(instance, spec.k or 0, weights)
+    if spec.kind == "leaves-first":
+        start = _leaves_first_stage1(instance, weights)
     else:
-        if spec.kind == "leaves-first":
-            start = _leaves_first_stage1(instance, weights)
-        else:
-            start = np.broadcast_to(batch.mask(policy.stage1), weights.shape)
-        queried = np.empty(weights.shape, dtype=bool)
-        for a in range(0, len(weights), _COMPLETION_ROWS):
-            rows = slice(a, a + _COMPLETION_ROWS)
-            mandatory = batch.patterns[batch.pattern[rows]]
-            queried[rows] = completion_matrix(instance, weights[rows], start[rows], mandatory)
+        start = np.broadcast_to(batch.mask(policy.stage1), weights.shape)
+    queried = np.empty(weights.shape, dtype=bool)
+    for a in range(0, len(weights), _COMPLETION_ROWS):
+        rows = slice(a, a + _COMPLETION_ROWS)
+        mandatory = batch.patterns[batch.pattern[rows]]
+        queried[rows] = completion_matrix(instance, weights[rows], start[rows], mandatory)
     index, first = _number_rows(queried)
     return queried[first], index
 
@@ -917,7 +887,8 @@ def evaluate_all(
         planned.append((policy, time.perf_counter() - start))
     start = time.perf_counter()
     try:
-        batch = _PairedBatch(instance, master_seed, n_samples, vc_bound)
+        weights = _BlockSampler(instance, master_seed).weights(0, n_samples)
+        batch = _PairedBatch(instance, weights, OfflineOracle(instance, vc_bound))
     except SolverBoundError as exc:
         return [p if isinstance(p, SolverBoundError) else exc for p, _ in planned]
     shared += time.perf_counter() - start

@@ -229,9 +229,6 @@ class Instance:
     def interval(self, vid: str) -> Interval:
         return self.by_id[vid].interval
 
-    def leftmost(self, hyperedge: Sequence[str]) -> str:
-        return min(hyperedge, key=lambda u: self.by_id[u].key)
-
     def is_reduced(self) -> bool:
         """True iff every hyperedge member overlaps, and is not contained
         in, the hyperedge's leftmost interval; checked once per instance."""

@@ -5,8 +5,9 @@ on the random families with unit and random costs, the batched sampler,
 mandatory-set kernel, adaptive completion kernel and the scoring of every
 policy must reproduce exactly the query sets and costs that the
 per-realization simulator (``_Recorder`` through ``run_fixed_cover`` and
-``run_leaves_first``), ``run_two_stage_prefix``, the offline oracle and the
-scalar mandatory-set functions give.
+``run_leaves_first``), the offline oracle and the scalar mandatory-set
+functions give.  The batch's exact E[OPT] over a whole cell enumeration
+must equal that of the scalar oracle.
 """
 
 import math
@@ -24,14 +25,16 @@ from orientlab import (
     PmfCell,
     UncertainVertex,
     build_cover_graph,
+    enumerate_cell_realizations,
+    exact_expected_opt,
     gen_benchmark,
     gen_random,
     is_feasible,
     make_instance,
     mandatory_set,
+    probability_matrix,
     run_fixed_cover,
     run_leaves_first,
-    run_two_stage_prefix,
     sample_realization,
     vc_exact_small,
 )
@@ -55,6 +58,12 @@ from orientlab.model import weights_from_uniforms
 N = 150
 SEED = 11
 VC_BOUND = 70  # star-trap and staircase leave big stars when the centre is not mandatory
+
+
+def _batch(instance, seed, n):
+    """The evaluator's batch: realizations 0..n-1 of ``seed``."""
+    weights = _BlockSampler(instance, seed).weights(0, n)
+    return _PairedBatch(instance, weights, OfflineOracle(instance, VC_BOUND))
 
 
 def _cases():
@@ -134,7 +143,7 @@ def test_sample_realization_is_one_row_of_the_weight_map(instance):
 def test_batched_costs_match_scalar_reference(instance):
     """Costs and query sets of every spec; the adaptive ones (baseline and
     the non-covering fixed cover) come from ``completion_matrix``."""
-    batch = _PairedBatch(instance, SEED, N, VC_BOUND)
+    batch = _batch(instance, SEED, N)
     oracle = OfflineOracle(instance, VC_BOUND)
     sampler = _BlockSampler(instance, SEED)
     realizations = [sampler.realization(i) for i in range(N)]
@@ -165,7 +174,7 @@ def test_leaves_first_matches_scalar_reference():
         gen_benchmark("single-set", n=5),
         gen_benchmark("staircase"),
     ):
-        batch = _PairedBatch(instance, SEED, N, VC_BOUND)
+        batch = _batch(instance, SEED, N)
         policy = plan(AlgorithmSpec("leaves-first"), instance, SEED)
         alg = _alg_costs(policy, batch)
         sets, index = _query_sets(policy, batch)
@@ -177,28 +186,41 @@ def test_leaves_first_matches_scalar_reference():
             assert alg[i] == out.transcript.total_cost, (instance.vertex_ids, i)
 
 
-@pytest.mark.parametrize("k", [0, 1, 3])
-def test_two_stage_prefix_matches_scalar_reference(k):
-    # on the staircase the prefix minimum never falls between two later
-    # lower ends; the random hyperedge of six members exercises that case
-    for instance in (
-        gen_benchmark("staircase"),
-        gen_random("hypergraph", 0, n=6, m=1, max_size=6, unit_cost=False),
-    ):
-        batch = _PairedBatch(instance, SEED, N, VC_BOUND)
-        policy = plan(AlgorithmSpec("two-stage-prefix", k=k), instance, SEED)
-        alg = _alg_costs(policy, batch)
-        sets, index = _query_sets(policy, batch)
-        rows = sets[index]
-        members = instance.hyperedges[0]
-        prefix_cost = math.fsum(instance.costs[v] for v in members[:k])
-        sampler = _BlockSampler(instance, SEED)
-        for i in range(N):
-            cost = run_two_stage_prefix(instance, k, sampler.realization(i))
-            assert alg[i] == cost, i
-            # the scalar policy queries the prefix or the whole hyperedge
-            expect = members[:k] if cost == prefix_cost and k else members
-            assert _members(instance, rows[i]) == set(expect), i
+def _enumerable_cases():
+    """Every named benchmark whose enumeration fits the default bound, and
+    seeded random graphs, bipartite graphs and hypergraphs of 3-6 vertices
+    with unit and random costs: 13 each of 3, 4 and 5 vertices, and one of
+    6 per family (46,656 assignments each)."""
+    for name in sorted(BENCHMARKS):
+        instance = gen_benchmark(name)
+        if math.prod(map(len, probability_matrix(instance).values())) <= 10**6:
+            yield name, instance
+    rng = np.random.default_rng(19)
+    for t in range(42):
+        n = 6 if t >= 39 else 3 + t % 3
+        family = ("gnp", "bipartite", "hypergraph")[t % 3]
+        unit_cost = t % 2 == 0
+        if family == "gnp":
+            instance = gen_random(family, rng, n=n, p=0.5, unit_cost=unit_cost)
+        elif family == "bipartite":
+            instance = gen_random(family, rng, nl=n // 2, nr=n - n // 2, p=0.5, unit_cost=unit_cost)
+        else:
+            instance = gen_random(family, rng, n=n, m=2, max_size=3, unit_cost=unit_cost)
+        yield f"{family}-{n}-{'unit' if unit_cost else 'weighted'}-{t}", instance
+
+
+EXACT_CASES = list(_enumerable_cases())
+
+
+@pytest.mark.parametrize("instance", [c for _, c in EXACT_CASES], ids=[n for n, _ in EXACT_CASES])
+def test_exact_expected_opt_matches_scalar_oracle(instance):
+    """The paired batch's E[OPT] is the scalar oracle's: ``opt`` runs the
+    scalar ``mandatory_set`` on each representative realization."""
+    oracle = OfflineOracle(instance)
+    expect = math.fsum(
+        prob * oracle.opt(r)[1] for prob, _, r in enumerate_cell_realizations(instance)
+    )
+    assert exact_expected_opt(instance) == expect
 
 
 FAMILY_PARAMS = {
@@ -292,7 +314,7 @@ def test_stacked_feasibility_matches_scalar_reference(instance):
     """One ``feasible_matrix`` call on a stack of query matrices gives
     :func:`is_feasible` for every set and every index: the optimum and
     every spec's query sets, random sets and the full set."""
-    batch = _PairedBatch(instance, SEED, N, VC_BOUND)
+    batch = _batch(instance, SEED, N)
     stack = [batch.optimal[batch.pattern]]
     for spec, _ in _specs(instance):
         sets, index = _query_sets(plan(spec, instance, SEED), batch)
@@ -324,7 +346,7 @@ def _set_failing_at(batch, row):
 
 @pytest.mark.parametrize("row", [0, 511, 512, 1023, 1199])
 def test_batch_check_sees_every_row_of_every_set(row):
-    batch = _PairedBatch(gen_benchmark("fork"), SEED, 1200, VC_BOUND)
+    batch = _batch(gen_benchmark("fork"), SEED, 1200)
     everything = np.ones((1, 3), dtype=bool), np.zeros(1200, dtype=np.intp)
     batch.score(*everything, "first set")
     batch.check()
@@ -335,7 +357,7 @@ def test_batch_check_sees_every_row_of_every_set(row):
 
 
 def test_batch_check_reports_optimum_then_specs_in_order():
-    batch = _PairedBatch(gen_benchmark("fork"), SEED, 600, VC_BOUND)
+    batch = _batch(gen_benchmark("fork"), SEED, 600)
     batch.score(*_set_failing_at(batch, 7), "first set")
     batch.score(*_set_failing_at(batch, 3), "second set")
     with pytest.raises(AssertionError, match="^first set$"):

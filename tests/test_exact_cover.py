@@ -302,13 +302,13 @@ def test_oracle_is_mandatory_set_plus_reference_cover():
             cover, _ = _reference_cover(graph.induced(set(ids) - mandatory))
             members = mandatory | cover
             expect = (members, math.fsum(instance.costs[v] for v in members))
-            assert oracle.solve_bits(bits) == expect
+            assert oracle.optimum_bits(bits) == sum(1 << j for j, v in enumerate(ids) if v in members)
             assert oracle.solve(mandatory) == expect
 
 
 def test_unpacked_optimum_bits_are_the_solve_bits_names():
     """The batch's optimal masks: each pattern's optimum as bits, all
-    unpacked at once, name the members of ``solve_bits``."""
+    unpacked at once, name the members of ``solve``."""
     rng = np.random.default_rng(8)
     for instance in _oracle_cases():
         ids = instance.vertex_ids
@@ -318,7 +318,8 @@ def test_unpacked_optimum_bits_are_the_solve_bits_names():
         assert optimal.dtype == bool and optimal.shape == (len(masks), len(ids))
         names = OfflineOracle(instance)
         for bits, row in zip(masks, optimal.tolist()):
-            assert frozenset(itertools.compress(ids, row)) == names.solve_bits(bits)[0]
+            mandatory = frozenset(v for j, v in enumerate(ids) if bits >> j & 1)
+            assert frozenset(itertools.compress(ids, row)) == names.solve(mandatory)[0]
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 63, 64, 65, 130])
@@ -348,10 +349,10 @@ def test_oracle_bound_message_matches_reference():
                 except SolverBoundError as exc:
                     raised.add(str(exc))
                     with pytest.raises(SolverBoundError) as got:
-                        oracle.solve_bits(bits)
+                        oracle.optimum_bits(bits)
                     assert str(got.value) == str(exc)
                 else:
-                    assert oracle.solve_bits(bits)[0] == frozenset(
+                    assert oracle.solve(frozenset(ids) - set(rest))[0] == frozenset(
                         v for j, v in enumerate(ids) if bits >> j & 1
                     ) | expect[0]
     assert "component of size 1 exceeds bound 0" in raised
@@ -364,9 +365,9 @@ def test_lone_vertex_trips_a_zero_bound():
     # which needs no cover
     bits = (1 << (len(ids) - 1)) - 1
     with pytest.raises(SolverBoundError) as got:
-        OfflineOracle(instance, 0).solve_bits(bits)
+        OfflineOracle(instance, 0).optimum_bits(bits)
     assert str(got.value) == "component of size 1 exceeds bound 0"
-    assert OfflineOracle(instance, 1).solve_bits(bits)[0] == frozenset(ids[:-1])
+    assert OfflineOracle(instance, 1).solve(frozenset(ids[:-1]))[0] == frozenset(ids[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -463,7 +463,6 @@ class TestEvaluate:
                 gen_benchmark("single-set", n=4),
                 [
                     AlgorithmSpec("leaves-first"),
-                    AlgorithmSpec("two-stage-prefix", k=2),
                     AlgorithmSpec("fixed-cover", cover=("e0",)),
                     AlgorithmSpec("offline-opt"),
                 ],
@@ -598,7 +597,6 @@ _BLOCK_CASES = [
         [
             AlgorithmSpec("baseline"),
             AlgorithmSpec("leaves-first"),
-            AlgorithmSpec("two-stage-prefix", k=2),
             AlgorithmSpec("offline-opt"),
         ],
     ),
@@ -632,13 +630,19 @@ def test_kernel_rows_follow_the_member_count():
     assert harness._kernel_rows(one_edge) == 16384
 
 
+def _batch(inst, seed, n):
+    """The evaluator's batch: realizations 0..n-1 of ``seed``."""
+    weights = _BlockSampler(inst, seed).weights(0, n)
+    return harness._PairedBatch(inst, weights, algorithms.OfflineOracle(inst, 24))
+
+
 def test_feasibility_pass_memory_does_not_grow_with_the_samples():
     # one edge: the fewest members, so the longest row blocks
     inst = make_instance(
         [uniform_vertex("a", 0.0, 2.0, 1.5), uniform_vertex("b", 1.0, 3.0)], [("a", "b")]
     )
-    harness._PairedBatch(inst, 1, 1000, 24).check()
-    batch = harness._PairedBatch(inst, 1, 100_000, 24)
+    _batch(inst, 1, 1000).check()
+    batch = _batch(inst, 1, 100_000)
     tracemalloc.start()
     try:
         batch.check()
@@ -677,8 +681,8 @@ def test_completion_memory_does_not_grow_with_the_samples():
         [uniform_vertex("a", 0.0, 2.0, 1.5), uniform_vertex("b", 1.0, 3.0)], [("a", "b")]
     )
     policy = plan(AlgorithmSpec("baseline"), inst, 1)
-    harness._query_sets(policy, harness._PairedBatch(inst, 1, 1000, 24))
-    batch = harness._PairedBatch(inst, 1, 100_000, 24)
+    harness._query_sets(policy, _batch(inst, 1, 1000))
+    batch = _batch(inst, 1, 100_000)
     tracemalloc.start()
     try:
         sets, index = harness._query_sets(policy, batch)

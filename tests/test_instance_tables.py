@@ -63,7 +63,7 @@ def _count_builds(monkeypatch):
         ),
         (
             gen_benchmark("single-set", n=4),
-            [AlgorithmSpec("leaves-first"), AlgorithmSpec("two-stage-prefix", k=2)],
+            [AlgorithmSpec("leaves-first")],
         ),
     ],
     ids=["graph-paired", "hyper-paired", "single-set"],

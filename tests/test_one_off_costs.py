@@ -78,7 +78,7 @@ def test_bitmask_oracle_matches_brute_force_and_reference(instance):
         rest = [v for v in ids if v not in mandatory_set_]
         base = math.fsum(instance.costs[v] for v in mandatory_set_)
         assert cost == pytest.approx(base + _brute_cover_weight(instance, rest), abs=1e-9)
-        assert oracle.solve(mandatory_set_) == (members, cost)  # memo hit
+        assert oracle.solve(mandatory_set_) == (members, cost)
 
 
 def test_bitmask_oracle_on_the_70_vertex_staircase():
@@ -148,6 +148,7 @@ def test_bound_message_and_first_pattern_in_realization_order():
     for instance, bound in _bound_cases():
         sampler, graph = _BlockSampler(instance, 5), build_cover_graph(instance)
         oracle = OfflineOracle(instance, bound)
+        weights = sampler.weights(0, 200)
         messages = []
         for i in range(200):
             drawn = mandatory_set(instance, sampler.realization(i))
@@ -162,10 +163,10 @@ def test_bound_message_and_first_pattern_in_realization_order():
         varied += len(set(messages)) > 1
         if messages:
             with pytest.raises(SolverBoundError) as got:
-                _PairedBatch(instance, 5, 200, bound)
+                _PairedBatch(instance, weights, OfflineOracle(instance, bound))
             assert str(got.value) == messages[0]
         else:
-            _PairedBatch(instance, 5, 200, bound)
+            _PairedBatch(instance, weights, OfflineOracle(instance, bound))
     assert varied  # some instance fails on patterns with different messages
 
 

@@ -440,9 +440,7 @@ def check_hypergraph_threshold() -> CriterionResult:
             m=int(rng.integers(2, 6)),
             max_size=4,
         )
-        spec = AlgorithmSpec(
-            "threshold-hyper", alpha=1.0, epsilon=eps, delta=delta, vc_strategy="few-hyperedges"
-        )
+        spec = AlgorithmSpec("threshold-hyper", alpha=1.0, epsilon=eps, delta=delta)
         rep = evaluate(inst, spec, 2000, SEED + 100 + i, f"hyper{i}")
         worst = max(worst, rep.ratio)
         if rep.ratio <= bound:

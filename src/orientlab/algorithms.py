@@ -3,8 +3,8 @@
 All algorithms are cover-based two-stage procedures: a realization-
 independent first stage queries a vertex cover of the cover graph, and
 an adaptive second stage queries only vertices that the revealed
-weights certify as unavoidable.  Each run produces a transcript, paired
-with the offline optimum for the same realization when given an oracle.
+weights certify as unavoidable.  Each run produces a transcript; the
+offline optimum of the same realization comes from :class:`OfflineOracle`.
 :func:`plan` fixes the first stage of an :class:`AlgorithmSpec`, from
 the mandatory profile it plans from, before any weight is revealed.
 """
@@ -21,7 +21,6 @@ import numpy as np
 from .mandatory import (
     MandatoryProfile,
     _edge_state,
-    estimate_profile,
     estimate_profiles,
     exact_prob_graph,
     hoeffding_sample_count,
@@ -50,7 +49,6 @@ __all__ = [
     "plan",
     "profiles",
     "ThresholdConfig",
-    "RunOutcome",
     "optimal_d",
     "guaranteed_ratio",
     "hyper_ratio",
@@ -67,17 +65,20 @@ __all__ = [
 # Parameters
 
 
-def optimal_d(alpha: float) -> float:
-    """Threshold that balances both branches of the guarantee."""
+def _check_alpha(alpha: float) -> None:
     if not 1.0 <= alpha <= 2.0:
         raise ValueError(f"alpha {alpha} outside [1, 2]")
+
+
+def optimal_d(alpha: float) -> float:
+    """Threshold that balances both branches of the guarantee."""
+    _check_alpha(alpha)
     return 2.0 / (alpha + math.sqrt(8.0 - alpha * (4.0 - alpha)))
 
 
 def guaranteed_ratio(alpha: float, d: float | None = None) -> float:
     """max(1/d, alpha + (2 - alpha) d); at the optimal d both branches meet."""
-    if not 1.0 <= alpha <= 2.0:
-        raise ValueError(f"alpha {alpha} outside [1, 2]")
+    _check_alpha(alpha)
     if d is None:
         d = optimal_d(alpha)
     if not 0.0 < d <= 1.0:
@@ -87,8 +88,7 @@ def guaranteed_ratio(alpha: float, d: float | None = None) -> float:
 
 def hyper_ratio(alpha: float, epsilon: float) -> float:
     """Guarantee of the sampled hypergraph variant (holds w.p. 1 - delta)."""
-    if not 1.0 <= alpha <= 2.0:
-        raise ValueError(f"alpha {alpha} outside [1, 2]")
+    _check_alpha(alpha)
     return 0.5 * (
         alpha
         + math.sqrt(
@@ -130,19 +130,9 @@ class ThresholdConfig:
         return hyper_threshold(self.alpha, self.epsilon)
 
     def validate(self) -> None:
-        if not 1.0 <= self.alpha <= 2.0:
-            raise ValueError(f"alpha {self.alpha} outside [1, 2]")
+        _check_alpha(self.alpha)
         if self.d is not None and not 0.0 <= self.d <= 1.0:
             raise ValueError(f"d {self.d} outside [0, 1]")
-
-
-@dataclass
-class RunOutcome:
-    """A run's transcript and the optimal cost of the same realization
-    (NaN when the run was given no oracle)."""
-
-    transcript: QueryTranscript
-    opt_cost: float
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +222,12 @@ class _Recorder:
         self.revealed[vid] = w
         self.steps.append(QueryStep(vid, w, stage))
 
-    def finish(self, oracle: OfflineOracle | None) -> RunOutcome:
+    def finish(self) -> QueryTranscript:
         instance = self.instance
         if not is_feasible(instance, self.realization, self.revealed.keys()):
             raise AssertionError("algorithm stopped on an infeasible query set")
         total = math.fsum(instance.costs[step.vertex] for step in self.steps)
-        transcript = QueryTranscript(tuple(self.steps), total)
-        opt_cost = math.nan
-        if oracle is not None:
-            opt_cost = oracle.opt(self.realization)[1]
-        return RunOutcome(transcript, opt_cost)
+        return QueryTranscript(tuple(self.steps), total)
 
 
 def _mandatory_completion(rec: _Recorder) -> None:
@@ -353,8 +339,7 @@ def run_fixed_cover(
     instance: Instance,
     cover_members: Sequence[str] | frozenset[str],
     realization: Realization,
-    oracle: OfflineOracle | None = None,
-) -> RunOutcome:
+) -> QueryTranscript:
     """Query a given set, then complete adaptively.
 
     When the set covers the cover graph the completion queries exactly
@@ -364,28 +349,26 @@ def run_fixed_cover(
     for vid in sorted(cover_members):
         rec.query(vid, "stage1")
     _mandatory_completion(rec)
-    return rec.finish(oracle)
+    return rec.finish()
 
 
 def run_adversarial_baseline(
     instance: Instance,
     realization: Realization,
-    oracle: OfflineOracle | None = None,
-) -> RunOutcome:
+) -> QueryTranscript:
     """Left-endpoint-order querying without distributional information.
 
     Round-robins over unsolved hyperedges, always advancing to the
     leftmost vertex that could still be the minimum; the classical
     2-competitive control: the adaptive completion with an empty stage 1.
     """
-    return run_fixed_cover(instance, (), realization, oracle)
+    return run_fixed_cover(instance, (), realization)
 
 
 def run_leaves_first(
     instance: Instance,
     realization: Realization,
-    oracle: OfflineOracle | None = None,
-) -> RunOutcome:
+) -> QueryTranscript:
     """Single-hyperedge policy that defers the leftmost vertex.
 
     Queries the non-leftmost members in left-endpoint order until the
@@ -406,7 +389,7 @@ def run_leaves_first(
             break  # leftmost is now mandatory
         rec.query(vid, "stage1")
     _mandatory_completion(rec)
-    return rec.finish(oracle)
+    return rec.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +401,15 @@ _PLAN_TAG = 0xFFFF0001  # keys the planning stream: default_rng([master_seed, _P
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Description of one algorithm run configuration, which :func:`plan`
-    turns into a :class:`Policy` on a given instance."""
+    turns into a :class:`Policy` on a given instance.  Each kind reads
+    only the fields it uses; the black-box cover solver is not a field
+    but follows from ``alpha`` and the instance (:func:`_auto_strategy`)."""
 
     kind: str
     alpha: float = 1.0
     d: float | None = None
     epsilon: float = 0.05
     delta: float = 0.1
-    vc_strategy: str | None = None
     cover: tuple[str, ...] | None = None
 
     @property
@@ -472,10 +456,11 @@ class Policy:
 
 
 def _auto_strategy(spec: AlgorithmSpec, instance: Instance) -> str:
-    """The black-box cover solver a threshold or bestvc spec plans with,
-    unless the spec names one."""
-    if spec.vc_strategy is not None:
-        return spec.vc_strategy
+    """The black-box cover solver a threshold or bestvc spec plans with:
+    the local-ratio 2-approximation for a threshold spec declaring alpha
+    >= 2, the bipartite min-cut for bestvc on a bipartite graph,
+    per-hyperedge enumeration on a hypergraph with at most 20 hyperedges,
+    and the exact branch and bound otherwise."""
     if spec.kind.startswith("threshold") and spec.alpha >= 2.0:
         return "local-ratio"
     if spec.kind == "bestvc" and instance.kind == "graph" and bipartition(build_cover_graph(instance)):
@@ -510,10 +495,10 @@ def profiles(
     """The sampled mandatory profiles of several specs, from one sample.
 
     The specs that sample share one draw from the planning stream
-    ``[master_seed, _PLAN_TAG]`` (:func:`estimate_profiles`), and each
-    gets the profile it would sample alone; the other specs get None and
-    plan from the exact profile, which :func:`exact_prob_graph` builds
-    once per instance.  The requests stop at the first spec whose epsilon
+    ``[master_seed, _PLAN_TAG]`` (:func:`estimate_profiles`), the one
+    place where a planning sample is drawn, and each gets the profile it
+    would sample alone; the other specs get None and plan from the exact
+    profile, which :func:`exact_prob_graph` builds once per instance.  The requests stop at the first spec whose epsilon
     or delta is invalid: it and the specs after it get None, so planning
     it raises after the specs before it are planned, as when each spec
     sampled its own.
@@ -544,14 +529,13 @@ def plan(
 
     Everything realization-independent (probabilities, LP, stage-1 cover)
     happens here, deterministically from the master seed.  ``profile`` is
-    the spec's profile from :func:`profiles`, when the caller has it;
-    otherwise a spec that samples draws its own from the planning stream,
-    and the others plan from the exact profile.
+    the spec's profile from :func:`profiles`; a spec that samples and is
+    given none takes ``profiles([spec], instance, master_seed)[0]``, and
+    the others plan from the exact profile.  Raises ValueError for an
+    epsilon or delta outside (0, 1).
     """
-    request = _sample_request(spec, instance)
-    if request is not None and profile is None:
-        rng = np.random.default_rng([master_seed, _PLAN_TAG])
-        profile = estimate_profile(instance, *request, rng)
+    if _sample_request(spec, instance) is not None and profile is None:
+        (profile,) = profiles([spec], instance, master_seed)
     if spec.kind in ("threshold", "threshold-hyper"):
         config = spec.config(_auto_strategy(spec, instance))
         stage1 = plan_threshold(instance, config, profile).stage1

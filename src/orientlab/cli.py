@@ -73,27 +73,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _algorithm_specs(args: argparse.Namespace) -> list[AlgorithmSpec]:
-    specs = []
     d = None if args.d in (None, "auto") else float(args.d)
     est_eps = args.eps if args.eps is not None else 0.05
-    for name in args.algorithm or ["threshold", "bestvc", "baseline"]:
-        if name == "threshold":
-            specs.append(AlgorithmSpec("threshold", alpha=args.alpha, d=d))
-        elif name == "threshold-hyper":
-            specs.append(
-                AlgorithmSpec(
-                    "threshold-hyper",
-                    alpha=args.alpha,
-                    d=d,
-                    epsilon=est_eps,
-                    delta=args.delta,
-                )
-            )
-        elif name in ("bestvc", "baseline", "offline-opt", "leaves-first"):
-            specs.append(AlgorithmSpec(name, epsilon=est_eps, delta=args.delta))
-        else:
-            raise InstanceError(f"unknown algorithm {name!r}")
-    return specs
+    return [
+        AlgorithmSpec(name, alpha=args.alpha, d=d, epsilon=est_eps, delta=args.delta)
+        for name in args.algorithm or ["threshold", "bestvc", "baseline"]
+    ]
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algorithms import AlgorithmSpec, OfflineOracle, Policy, RunOutcome, plan, profiles
+from .algorithms import AlgorithmSpec, OfflineOracle, Policy, plan, profiles
 from .mandatory import (
     _edge_step,
     _hyperedge_columns,
@@ -33,6 +33,7 @@ from .model import (
     InstanceError,
     Pmf,
     PmfCell,
+    QueryTranscript,
     Realization,
     UncertainVertex,
     elementary_grid,
@@ -489,13 +490,15 @@ def exact_expected_opt(instance: Instance, max_combos: int = 10**6) -> float:
 
 def exact_expected_cost(
     instance: Instance,
-    runner: Callable[[Realization], RunOutcome],
+    runner: Callable[[Realization], QueryTranscript],
     max_combos: int = 10**6,
 ) -> float:
-    """Exact expected query cost of an algorithm via cell enumeration."""
+    """Exact expected query cost of an algorithm via cell enumeration: one
+    ``math.fsum`` of the probability-weighted total cost of the
+    transcript ``runner`` returns on each representative realization."""
     total = []
     for prob, _, realization in enumerate_cell_realizations(instance, max_combos):
-        total.append(prob * runner(realization).transcript.total_cost)
+        total.append(prob * runner(realization).total_cost)
     return math.fsum(total)
 
 
@@ -589,13 +592,7 @@ def make_generalized(
 
 def expected_opt_generalized(gi: GeneralizedInstance) -> float:
     """E[optimum] = sum over mandatory sets of c(M) + min cover of the rest."""
-    weights = gi.graph.weights
-    total = []
-    for mandatory, p in gi.law:
-        rest = [v for v in gi.graph.vertices if v not in mandatory]
-        vc = vc_exact_small(gi.graph.induced(rest)).weight
-        total.append(p * (math.fsum(weights[v] for v in mandatory) + vc))
-    return math.fsum(total)
+    return expected_opt_generalized_part(gi, gi.graph.vertices)
 
 
 def expected_opt_generalized_part(gi: GeneralizedInstance, part: Iterable[str]) -> float:
@@ -815,8 +812,6 @@ def _query_sets(policy: Policy, batch: _PairedBatch) -> tuple[np.ndarray, np.nda
 
 
 def _alg_costs(policy: Policy, batch: _PairedBatch) -> np.ndarray:
-    if policy.spec.kind == "offline-opt":
-        return batch.opt
     sets, index = _query_sets(policy, batch)
     return batch.score(sets, index, "algorithm stopped on an infeasible query set")
 

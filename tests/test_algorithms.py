@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,17 +27,17 @@ from orientlab import (
     run_leaves_first,
     sample_realization,
 )
-from orientlab.algorithms import plan_best_vc, plan_threshold
+from orientlab.algorithms import AlgorithmSpec, _auto_strategy, plan_best_vc, plan_threshold
 from orientlab.harness import _BlockSampler
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
-def threshold_runner(inst, config, oracle=None):
+def threshold_runner(inst, config):
     """The threshold algorithm on exact probabilities: one plan, then
     :func:`run_fixed_cover` from its stage 1 on each realization."""
     plan = plan_threshold(inst, config)
-    return lambda r: run_fixed_cover(inst, plan.stage1, r, oracle)
+    return lambda r: run_fixed_cover(inst, plan.stage1, r)
 
 
 def sampled_plan(inst, config, delta, rng):
@@ -47,11 +48,11 @@ def sampled_plan(inst, config, delta, rng):
     return plan_threshold(inst, config, estimate_profile(inst, config.epsilon, delta_v, rng))
 
 
-def best_vc_runner(inst, strategy, oracle=None):
+def best_vc_runner(inst, strategy):
     """The best cover-first algorithm: one cover, then
     :func:`run_fixed_cover` from it on each realization."""
     _, cover = plan_best_vc(inst, strategy)
-    return lambda r: run_fixed_cover(inst, cover.members, r, oracle)
+    return lambda r: run_fixed_cover(inst, cover.members, r)
 
 
 class TestParameters:
@@ -117,16 +118,14 @@ class TestThresholdGraph:
 
     def test_fork_expected_cost_exactly_two(self):
         fork = gen_benchmark("fork", eps=0.01)
-        oracle = OfflineOracle(fork)
-        runner = threshold_runner(fork, ThresholdConfig(alpha=1.0), oracle)
+        runner = threshold_runner(fork, ThresholdConfig(alpha=1.0))
         assert exact_expected_cost(fork, runner) == pytest.approx(2.0, abs=1e-12)
 
     def test_edge_trap_expected_cost(self):
         d, eps, eps2 = 0.618, 0.01, 1e-4
         inst = gen_benchmark("edge-trap", d=d, eps=eps, eps2=eps2)
-        oracle = OfflineOracle(inst)
         config = ThresholdConfig(alpha=1.0, d=d)
-        runner = threshold_runner(inst, config, oracle)
+        runner = threshold_runner(inst, config)
         # the canonical cover pick is the almost-never-mandatory vertex,
         # so the other endpoint still gets queried with probability d - eps
         assert exact_expected_cost(inst, runner) == pytest.approx(1 + d - eps, abs=1e-12)
@@ -143,7 +142,7 @@ class TestThresholdGraph:
         inst = gen_random("gnp", 1, n=4, p=0.0)
         runner = threshold_runner(inst, ThresholdConfig(alpha=1.0))
         out = runner(sample_realization(inst, np.random.default_rng(0)))
-        assert out.transcript.total_cost == 0.0
+        assert out.total_cost == 0.0
 
     def test_exact_probs_reject_hypergraph(self):
         inst = gen_benchmark("weighted-triple")
@@ -154,10 +153,9 @@ class TestThresholdGraph:
         rng = np.random.default_rng(1)
         for i in range(6):
             inst = gen_random("gnp", rng, n=5, p=0.4)
-            oracle = OfflineOracle(inst)
             for alpha, strategy in ((1.0, "exact-small"), (2.0, "local-ratio")):
                 config = ThresholdConfig(alpha=alpha, vc_strategy=strategy)
-                plan_cost = exact_expected_cost(inst, threshold_runner(inst, config, oracle))
+                plan_cost = exact_expected_cost(inst, threshold_runner(inst, config))
                 opt = exact_expected_opt(inst)
                 assert plan_cost <= guaranteed_ratio(alpha) * opt + 1e-9
 
@@ -165,9 +163,8 @@ class TestThresholdGraph:
         rng = np.random.default_rng(2)
         for _ in range(4):
             inst = gen_random("gnp", rng, n=5, p=0.4, unit_cost=False)
-            oracle = OfflineOracle(inst)
             cost = exact_expected_cost(
-                inst, threshold_runner(inst, ThresholdConfig(alpha=1.0), oracle)
+                inst, threshold_runner(inst, ThresholdConfig(alpha=1.0))
             )
             assert cost <= guaranteed_ratio(1.0) * exact_expected_opt(inst) + 1e-9
 
@@ -190,9 +187,9 @@ class TestThresholdHypergraph:
         for i in range(1000):
             r = sampler.realization(i)
             plan = sampled_plan(inst, config, 0.2, rng)  # a fresh estimate each time
-            out = run_fixed_cover(inst, plan.stage1, r, oracle)
+            out = run_fixed_cover(inst, plan.stage1, r)
             # feasibility is asserted inside the runner; check pairing too
-            assert out.opt_cost <= out.transcript.total_cost + 1e-9
+            assert oracle.opt(r)[1] <= out.total_cost + 1e-9
 
     def test_single_hyperedge_stage2_walks_left_to_right(self):
         inst = gen_benchmark("single-set", n=3, eps=0.2)
@@ -200,10 +197,10 @@ class TestThresholdHypergraph:
         config = ThresholdConfig(alpha=1.0, vc_strategy="few-hyperedges", epsilon=0.1)
         r = Realization({"e0": 1.5, "e1": 1.6, "e2": 2.5, "e3": 2.6})
         out = run_fixed_cover(inst, sampled_plan(inst, config, 0.2, rng).stage1, r)
-        stages = [(s.vertex, s.stage) for s in out.transcript.steps]
+        stages = [(s.vertex, s.stage) for s in out.steps]
         stage2 = [v for v, stage in stages if stage == "stage2"]
         assert stage2 == sorted(stage2)  # ids sorted = left endpoint order here
-        assert is_feasible(inst, r, out.transcript.queried)
+        assert is_feasible(inst, r, out.queried)
 
     def test_requires_sampled_mode(self):
         inst = gen_benchmark("weighted-triple")
@@ -216,15 +213,14 @@ class TestBestVc:
     def test_overlap_pair_expected_costs(self):
         p = q = 0.4
         inst = gen_benchmark("overlap-pair", p=p, q=q)
-        oracle = OfflineOracle(inst)
-        runner = best_vc_runner(inst, "exact-small", oracle)
+        runner = best_vc_runner(inst, "exact-small")
         assert exact_expected_cost(inst, runner) == pytest.approx(1 + p, abs=1e-12)
         assert exact_expected_opt(inst) == pytest.approx(1 + p * q, abs=1e-12)
 
     def test_overlap_pair_tie_breaks_to_v0(self):
         inst = gen_benchmark("overlap-pair", p=0.4, q=0.4)
         out = best_vc_runner(inst, "exact-small")(Realization({"v0": 0.5, "v1": 2.5}))
-        assert [s.vertex for s in out.transcript.steps] == ["v0"]
+        assert [s.vertex for s in out.steps] == ["v0"]
 
     def test_zero_reduced_weight_joins_cover(self):
         # v1's weight never leaves v0's interval, so p_v0 = 1 and the
@@ -244,27 +240,27 @@ class TestBestVc:
         inst = gen_benchmark("single-set", n=n, eps=0.2)
         oracle = OfflineOracle(inst)
         for _, cells, r in enumerate_cell_realizations(inst):
-            out = run_fixed_cover(inst, (f"e{0}",), r, oracle)
+            out = run_fixed_cover(inst, (f"e{0}",), r)
             members, opt_cost = oracle.opt(r)
             if f"e{0}" not in members:
-                assert out.transcript.total_cost <= (n + 1) / n * opt_cost + 1e-9
+                assert out.total_cost <= (n + 1) / n * opt_cost + 1e-9
             else:
-                assert out.transcript.total_cost == pytest.approx(opt_cost)
+                assert out.total_cost == pytest.approx(opt_cost)
 
     def test_bipartite_strategy_on_random(self):
         rng = np.random.default_rng(6)
         inst = gen_random("bipartite", rng, nl=3, nr=4, p=0.5)
         r = sample_realization(inst, rng)
         out = best_vc_runner(inst, "bipartite")(r)
-        assert is_feasible(inst, r, out.transcript.queried)
+        assert is_feasible(inst, r, out.queried)
 
 
 class TestBaselineAndPolicies:
     def test_baseline_fork_example(self):
         fork = gen_benchmark("fork", eps=0.1)
         out = run_adversarial_baseline(fork, Realization({"x": 0.5, "y": 2.5, "z": 2.5}))
-        assert [s.vertex for s in out.transcript.steps] == ["x"]
-        assert out.transcript.total_cost == 1.0
+        assert [s.vertex for s in out.steps] == ["x"]
+        assert out.total_cost == 1.0
 
     def test_baseline_queries_nothing_when_disjoint(self):
         from orientlab import make_instance, reduce_instance
@@ -275,34 +271,32 @@ class TestBaselineAndPolicies:
         )
         reduced, _ = reduce_instance(inst)
         out = run_adversarial_baseline(reduced, Realization({"u": 0.5, "v": 5.5}))
-        assert out.transcript.total_cost == 0.0
+        assert out.total_cost == 0.0
 
     def test_baseline_prefix_until_certain(self):
         inst = gen_benchmark("single-set", n=3, eps=0.2)
         r = Realization({"e0": 0.5, "e1": 2.5, "e2": 2.6, "e3": 2.7})
         out = run_adversarial_baseline(inst, r)
-        assert [s.vertex for s in out.transcript.steps] == ["e0"]
+        assert [s.vertex for s in out.steps] == ["e0"]
 
     def test_baseline_within_factor_two_expected(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             inst = gen_random("hypergraph", rng, n=5, m=3, unit_cost=False)
-            oracle = OfflineOracle(inst)
             cost = exact_expected_cost(
-                inst, lambda r: run_adversarial_baseline(inst, r, oracle)
+                inst, lambda r: run_adversarial_baseline(inst, r)
             )
             assert cost <= 2.0 * exact_expected_opt(inst) + 1e-9
 
     def test_single_set_policies_match_formulas(self):
         n, eps = 3, 0.001
         inst = gen_benchmark("single-set", n=n, eps=eps)
-        oracle = OfflineOracle(inst)
         center = exact_expected_cost(
-            inst, lambda r: run_adversarial_baseline(inst, r, oracle)
+            inst, lambda r: run_adversarial_baseline(inst, r)
         )
         assert center == pytest.approx(n, abs=1e-12)
         leaves = exact_expected_cost(
-            inst, lambda r: run_leaves_first(inst, r, oracle)
+            inst, lambda r: run_leaves_first(inst, r)
         )
         expect = n - n / n + (1 + 1 / (n * eps)) * (1 - (1 - eps) ** n)
         assert leaves == pytest.approx(expect, abs=1e-9)
@@ -317,19 +311,18 @@ class TestWeightedTriple:
     def setup_method(self):
         self.k, self.eps = 10.0, 0.05
         self.inst = gen_benchmark("weighted-triple", k=self.k, eps=self.eps)
-        self.oracle = OfflineOracle(self.inst)
 
     def test_cover_center_cost(self):
         k, eps = self.k, self.eps
         cost = exact_expected_cost(
-            self.inst, lambda r: run_fixed_cover(self.inst, ("x",), r, self.oracle)
+            self.inst, lambda r: run_fixed_cover(self.inst, ("x",), r)
         )
         assert cost == pytest.approx(k + (1 - eps) * (1 + k / 2), abs=1e-9)
 
     def test_cover_rest_cost(self):
         k, eps = self.k, self.eps
         cost = exact_expected_cost(
-            self.inst, lambda r: run_fixed_cover(self.inst, ("y", "z"), r, self.oracle)
+            self.inst, lambda r: run_fixed_cover(self.inst, ("y", "z"), r)
         )
         assert cost == pytest.approx(k + 1 + k * (1 - (1 - eps) / 2), abs=1e-9)
 
@@ -340,24 +333,24 @@ class TestWeightedTriple:
 
 
 class TestRunInvariants:
-    def algorithms(self, inst, oracle):
-        yield lambda r: run_adversarial_baseline(inst, r, oracle)
-        yield best_vc_runner(inst, "exact-small", oracle)
+    def algorithms(self, inst):
+        yield lambda r: run_adversarial_baseline(inst, r)
+        yield best_vc_runner(inst, "exact-small")
         if inst.kind == "graph":
-            yield threshold_runner(inst, ThresholdConfig(alpha=1.0), oracle)
+            yield threshold_runner(inst, ThresholdConfig(alpha=1.0))
 
     def test_feasible_and_opt_bounded(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             inst = gen_random("gnp", rng, n=7, p=0.4, unit_cost=False)
             oracle = OfflineOracle(inst)
-            for runner in self.algorithms(inst, oracle):
+            for runner in self.algorithms(inst):
                 for _ in range(20):
                     r = sample_realization(inst, rng)
                     out = runner(r)
-                    assert is_feasible(inst, r, out.transcript.queried)
-                    assert out.opt_cost <= out.transcript.total_cost + 1e-9
-                    out.transcript.validate(inst)
+                    assert is_feasible(inst, r, out.queried)
+                    assert oracle.opt(r)[1] <= out.total_cost + 1e-9
+                    out.validate(inst)
 
     def test_stage2_queries_certified_mandatory(self):
         rng = np.random.default_rng(9)
@@ -369,20 +362,19 @@ class TestRunInvariants:
 
             matrix = probability_matrix(inst)
             supports = {v: [c for c, _ in matrix[v]] for v in inst.vertex_ids}
-            oracle = OfflineOracle(inst)
             cover = build_cover_graph(inst)
             from orientlab import vc_exact_small
 
             cover_members = vc_exact_small(cover).members
             for _ in range(4):
                 r = sample_realization(inst, rng)
-                out = run_fixed_cover(inst, cover_members, r, oracle)
+                out = run_fixed_cover(inst, cover_members, r)
                 revealed_cells = {}
                 actual_cells = {
                     v: max(j for j in range(len(grid) - 1) if grid[j] < r[v])
                     for v in inst.vertex_ids
                 }
-                for step in out.transcript.steps:
+                for step in out.steps:
                     if step.stage == "stage2":
                         # mandatory in every realization consistent with
                         # what was revealed before this query
@@ -444,18 +436,53 @@ class TestBalancedStar:
 
     def test_both_covers_cost_the_same(self):
         inst, k, p_center = self.build()
-        oracle = OfflineOracle(inst)
         center = exact_expected_cost(
-            inst, lambda r: run_fixed_cover(inst, ("c",), r, oracle)
+            inst, lambda r: run_fixed_cover(inst, ("c",), r)
         )
         leaves = exact_expected_cost(
-            inst, lambda r: run_fixed_cover(inst, ("u0", "u1", "u2"), r, oracle)
+            inst, lambda r: run_fixed_cover(inst, ("u0", "u1", "u2"), r)
         )
         assert center == pytest.approx(leaves, abs=1e-9)
         assert center == pytest.approx(k + 3 * 0.4, abs=1e-9)
 
     def test_best_vc_within_four_thirds(self):
         inst, _, _ = self.build()
-        oracle = OfflineOracle(inst)
-        cost = exact_expected_cost(inst, best_vc_runner(inst, "bipartite", oracle))
+        cost = exact_expected_cost(inst, best_vc_runner(inst, "bipartite"))
         assert cost <= 4.0 / 3.0 * exact_expected_opt(inst) + 1e-9
+
+
+class TestAutoStrategy:
+    """The black-box cover solver a spec plans with follows from its kind,
+    its alpha and the instance alone."""
+
+    @pytest.mark.parametrize(
+        "kind, alpha, instance, strategy",
+        [
+            ("threshold", 2.0, gen_benchmark("fork"), "local-ratio"),
+            ("threshold-hyper", 2.0, gen_benchmark("overlap-family"), "local-ratio"),
+            ("threshold", 1.0, gen_benchmark("fork"), "exact-small"),
+            ("threshold-hyper", 1.0, gen_benchmark("fork"), "exact-small"),
+            ("bestvc", 1.0, gen_benchmark("fork"), "bipartite"),
+            ("bestvc", 2.0, gen_benchmark("overlap-pair"), "bipartite"),
+            ("bestvc", 1.0, gen_benchmark("hub-biclique"), "exact-small"),
+            ("threshold-hyper", 1.0, gen_benchmark("overlap-family"), "few-hyperedges"),
+            ("bestvc", 1.0, gen_benchmark("single-set"), "few-hyperedges"),
+            ("bestvc", 1.0, gen_random("hypergraph", 0, n=8, m=20, max_size=3), "few-hyperedges"),
+            ("bestvc", 1.0, gen_random("hypergraph", 0, n=8, m=21, max_size=3), "exact-small"),
+        ],
+    )
+    def test_choice_table(self, kind, alpha, instance, strategy):
+        assert _auto_strategy(AlgorithmSpec(kind, alpha=alpha), instance) == strategy
+
+    def test_hypergraph_threshold_criterion_plans_with_few_hyperedges(self, monkeypatch):
+        from orientlab import acceptance
+
+        chosen = []
+
+        def record(instance, spec, *args):
+            chosen.append(_auto_strategy(spec, instance))
+            return SimpleNamespace(ratio=1.0)
+
+        monkeypatch.setattr(acceptance, "evaluate", record)
+        acceptance.check_hypergraph_threshold()
+        assert chosen == ["few-hyperedges"] * 40

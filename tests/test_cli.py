@@ -266,6 +266,33 @@ class TestRun:
         assert float(row[7]) > 1.5  # ratio close to 1 + d
 
 
+ALPHA_D = ["--alpha", "2", "--d", "0.5"]
+EPS_DELTA = ["--eps", "0.1", "--delta", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "kind, name, flags",
+    [
+        *[(kind, name, ALPHA_D + EPS_DELTA)
+          for kind in ("baseline", "offline-opt")
+          for name in ("fork", "single-set", "overlap-pair")],
+        ("leaves-first", "single-set", ALPHA_D + EPS_DELTA),
+        ("bestvc", "fork", ALPHA_D + EPS_DELTA),
+        ("bestvc", "overlap-pair", ALPHA_D + EPS_DELTA),
+        ("bestvc", "single-set", ALPHA_D),  # plans from a profile sampled to eps, delta
+        ("threshold", "fork", EPS_DELTA),
+        ("threshold", "overlap-pair", EPS_DELTA),
+    ],
+)
+def test_flags_a_kind_does_not_read_leave_its_row(kind, name, flags, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_instance(gen_benchmark(name)))
+    argv = ["run", "--instance", str(path), "-a", kind, "--samples", "500", "--seed", "4"]
+    code, out, err = run_main(argv, capsys)
+    assert (code, err) == (0, "")
+    assert run_main(argv + flags, capsys) == (code, out, err)
+
+
 class TestCheck:
     def test_check_splits_passes(self, capsys):
         code, out, _ = run_main(["check", "splits"], capsys)

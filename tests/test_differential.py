@@ -160,7 +160,7 @@ def test_batched_costs_match_scalar_reference(instance):
                 queried, cost = optimal[i]
             else:
                 out = run_fixed_cover(instance, policy.stage1, r)
-                queried, cost = out.transcript.queried, out.transcript.total_cost
+                queried, cost = out.queried, out.total_cost
             assert alg[i] == cost, (spec.algorithm_id, i)
             assert _members(instance, rows[i]) == queried, (spec.algorithm_id, i)
             if not policy.adaptive and spec.kind != "offline-opt":
@@ -182,8 +182,8 @@ def test_leaves_first_matches_scalar_reference():
         sampler = _BlockSampler(instance, SEED)
         for i in range(N):
             out = run_leaves_first(instance, sampler.realization(i))
-            assert _members(instance, rows[i]) == out.transcript.queried, (instance.vertex_ids, i)
-            assert alg[i] == out.transcript.total_cost, (instance.vertex_ids, i)
+            assert _members(instance, rows[i]) == out.queried, (instance.vertex_ids, i)
+            assert alg[i] == out.total_cost, (instance.vertex_ids, i)
 
 
 def _enumerable_cases():
@@ -249,7 +249,7 @@ def test_completion_matrix_property(family, seed, unit_cost, share):
     rows = completion_matrix(instance, weights, start, mandatory_matrix(instance, weights))
     for i in range(len(weights)):
         out = run_fixed_cover(instance, stage1, sampler.realization(i))
-        assert _members(instance, rows[i]) == out.transcript.queried, i
+        assert _members(instance, rows[i]) == out.queried, i
 
 
 @settings(max_examples=40, deadline=None)

@@ -40,7 +40,6 @@ from .vcover import (
     vc_bipartite_exact,
     vc_exact_small,
     vc_few_hyperedges,
-    vc_interval_union_dp,
     vc_local_ratio_2approx,
 )
 from .algorithms import (

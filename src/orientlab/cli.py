@@ -47,7 +47,11 @@ def _gen_params(args: argparse.Namespace, name: str, d_flag: str) -> dict:
         if key not in accepted:
             takes = ", ".join(flag[p] for p in accepted)
             raise InstanceError(f"{flag[key]} does not apply to {name}, which takes {takes}")
-        params[key] = int(value) if key == "k" and name in ("overlap-family", "hub-biclique") else value
+        if key == "k" and name in ("overlap-family", "hub-biclique"):
+            if not value.is_integer():
+                raise InstanceError(f"--k must be a whole number for {name}, got {value:g}")
+            value = int(value)
+        params[key] = value
     return params
 
 

@@ -162,6 +162,8 @@ def make_overlap_family(k: int = 3, eps: float = 0.01) -> Instance:
     """k hyperedges sharing the middle and right vertices; the cover graph
     is complete bipartite."""
     _check_unit("eps", eps)
+    if k < 1:
+        raise ValueError("k must be at least 1")
     width = len(str(k))
     verts = []
     for i in range(1, k + 1):
@@ -182,6 +184,8 @@ def make_hub_biclique(k: int = 3, eps: float = 0.01) -> Instance:
     """Non-bipartite graph: complete bipartite left/right plus a hub
     adjacent to everything."""
     _check_unit("eps", eps)
+    if k < 1:
+        raise ValueError("k must be at least 1")
     width = len(str(k))
     verts = []
     xs, zs = [], []
@@ -340,8 +344,7 @@ def gen_random(
     rng: np.random.Generator | int,
     **params,
 ):
-    """Random instance families; returns (instance, layers) for
-    ``interval-layers`` and a plain instance otherwise.
+    """Random reduced instance of one family.
 
     Intervals all have length one with lower ends inside (0, spread), so
     with spread < 1 every pair overlaps and nothing is contained in
@@ -405,11 +408,9 @@ def gen_random(
         ids = [v.id for v in verts]
         by_id = {v.id: v for v in verts}
         adjacency: dict[str, set[str]] = {vid: set() for vid in ids}
-        layers: list[list[str]] = []
         edges = []
         for _ in range(k):
             layer = [vid for vid in ids if rng.random() < 0.75]
-            layers.append(layer)
             for a, b in zip(layer, layer[1:]):
                 if not by_id[a].interval.intersects(by_id[b].interval):
                     continue
@@ -423,7 +424,7 @@ def gen_random(
         raise ValueError(f"unknown random family {family!r}")
     instance, forced = reduce_instance(make_instance(verts, edges))
     assert not forced
-    return (instance, layers) if family == "interval-layers" else instance
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +860,9 @@ def evaluate_all(
     optimum, and the feasibility pass.  The exact profile is a
     per-instance table, paid by the first spec that plans from it.  A
     spec whose planning, or the optimum, exceeds a solver bound gets the
-    SolverBoundError in place of its report.
+    SolverBoundError in place of its report; a ValueError from planning
+    is re-raised as the same type, its message prefixed with the spec's
+    algorithm_id.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -879,6 +882,8 @@ def evaluate_all(
             policy: Policy | SolverBoundError = plan(spec, instance, master_seed, profile)
         except SolverBoundError as exc:
             policy = exc
+        except ValueError as exc:
+            raise type(exc)(f"{spec.algorithm_id}: {exc}") from exc
         planned.append((policy, time.perf_counter() - start))
     start = time.perf_counter()
     try:

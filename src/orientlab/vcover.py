@@ -3,16 +3,15 @@
 Every feasible query set covers the cover graph (each leftmost/member
 pair is a witness set), so the algorithms lean on a toolbox of cover
 solvers: a half-integral LP relaxation, exact bipartite and small-graph
-solvers, a local-ratio 2-approximation, and two structured exact solvers
-(per-hyperedge enumeration and a layered-path dynamic program).  The
-small-graph solver works on the cover graph's bit view (neighbour masks,
-bit j for the j-th vertex): components by a bit BFS, then a branch and
-bound pruned by a greedy matching; the offline oracle shares it.
+solvers, a local-ratio 2-approximation, and an exact per-hyperedge
+enumeration for instances with few hyperedges.  The small-graph solver
+works on the cover graph's bit view (neighbour masks, bit j for the j-th
+vertex): components by a bit BFS, then a branch and bound pruned by a
+greedy matching; the offline oracle shares it.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ __all__ = [
     "vc_exact_small",
     "vc_local_ratio_2approx",
     "vc_few_hyperedges",
-    "vc_interval_union_dp",
 ]
 
 
@@ -546,113 +544,3 @@ def vc_few_hyperedges(
         return Cover(frozenset(), 0.0)
     return Cover(frozenset(best[1]), best[0])
 
-
-# ---------------------------------------------------------------------------
-# Exact cover of a union of triangle-free proper-interval layers
-
-
-def _merge_layer_order(layers: Sequence[Sequence[str]]) -> list[str]:
-    """Topological merge of the layer orders (ties: lexicographic)."""
-    after: dict[str, set[str]] = {}
-    indegree: dict[str, int] = {}
-    for layer in layers:
-        for v in layer:
-            after.setdefault(v, set())
-            indegree.setdefault(v, 0)
-        for a, b in zip(layer, layer[1:]):
-            if b not in after[a]:
-                after[a].add(b)
-                indegree[b] += 1
-    ready = [v for v, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in sorted(after[v]):
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) != len(after):
-        raise ValueError("layer orders are cyclic; not a consistent interval order")
-    return order
-
-
-def vc_interval_union_dp(
-    g: CoverGraph,
-    layers: Sequence[Sequence[str]],
-    max_layers: int = 4,
-) -> Cover:
-    """Exact minimum cover when the edges split into few path layers.
-
-    Each layer must be a disjoint union of paths whose edges join
-    consecutive vertices of the layer order (triangle-free proper
-    interval structure).  A shortest-path style sweep with one frontier
-    bit per layer gives the optimum: a vertex may stay out of the cover
-    only when every path predecessor adjacent to it is in.
-    """
-    if len(layers) > max_layers:
-        raise SolverBoundError(f"{len(layers)} layers exceed bound {max_layers}")
-    restricted = [[v for v in layer if v in g.weights] for layer in layers]
-    edge_set = set(g.edges)
-    layer_pairs: set[tuple[str, str]] = set()
-    for layer in restricted:
-        for a, b in zip(layer, layer[1:]):
-            pair = (a, b) if a < b else (b, a)
-            if pair in edge_set:
-                layer_pairs.add(pair)
-    if layer_pairs != edge_set:
-        raise ValueError("graph has edges not explained by consecutive layer pairs")
-    adj = g.adjacency
-    for a, b in g.edges:
-        if set(adj[a]) & set(adj[b]):
-            raise ValueError("graph contains a triangle")
-
-    order = _merge_layer_order(restricted)
-    member_layers: dict[str, list[int]] = {v: [] for v in order}
-    pred_in_layer: dict[tuple[str, int], str] = {}
-    for i, layer in enumerate(restricted):
-        for pos, v in enumerate(layer):
-            member_layers[v].append(i)
-            if pos > 0:
-                pred_in_layer[(v, i)] = layer[pos - 1]
-
-    k = len(restricted)
-    # state: per-layer frontier bit (1 = frontier vertex is in the cover);
-    # virtual start vertices have cost zero and sit in every cover.
-    states: dict[tuple[int, ...], tuple[float, tuple[str, ...]]] = {
-        tuple([1] * k): (0.0, ())
-    }
-    for v in order:
-        nxt: dict[tuple[int, ...], tuple[float, tuple[str, ...]]] = {}
-        lids = member_layers[v]
-        for bits, (cost, chosen) in states.items():
-            forced = False
-            for i in lids:
-                pred = pred_in_layer.get((v, i))
-                if pred is not None and bits[i] == 0:
-                    pair = (pred, v) if pred < v else (v, pred)
-                    if pair in edge_set:
-                        forced = True
-                        break
-            for b in ((1,) if forced else (0, 1)):
-                nb = list(bits)
-                for i in lids:
-                    nb[i] = b
-                key = tuple(nb)
-                ncost = cost + (g.weights[v] if b else 0.0)
-                nchosen = chosen + (v,) if b else chosen
-                old = nxt.get(key)
-                if (
-                    old is None
-                    or ncost < old[0] - EPS
-                    or (abs(ncost - old[0]) <= EPS and tuple(sorted(nchosen)) < tuple(sorted(old[1])))
-                ):
-                    nxt[key] = (ncost, nchosen)
-        states = nxt
-    best = min(
-        states.values(), key=lambda item: (item[0], tuple(sorted(item[1])))
-    )
-    result = _cover(g.weights, best[1])
-    result.validate(g)
-    return result

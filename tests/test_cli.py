@@ -79,6 +79,30 @@ def test_generator_flag_the_generator_does_not_take_exits_2(argv, message, capsy
     assert err == f"orientlab: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "overlap-family", "--k", "0"], "k must be at least 1"),
+        (["generate", "overlap-family", "--k", "-1"], "k must be at least 1"),
+        (
+            ["generate", "overlap-family", "--k", "0.5"],
+            "--k must be a whole number for overlap-family, got 0.5",
+        ),
+        (["generate", "hub-biclique", "--k", "0"], "k must be at least 1"),
+        (
+            ["generate", "hub-biclique", "--k", "2.5"],
+            "--k must be a whole number for hub-biclique, got 2.5",
+        ),
+        (["run", "--gen", "hub-biclique", "--k", "0"], "k must be at least 1"),
+    ],
+)
+def test_degenerate_k_exits_2(argv, message, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"orientlab: {message}\n"
+
+
 class TestRun:
     def test_run_three_algorithms(self, tmp_path, capsys):
         path = tmp_path / "fork.json"
@@ -162,7 +186,10 @@ class TestRun:
         )
         assert code == 2
         assert out == ""
-        assert err == "orientlab: epsilon and delta must lie in (0, 1)\n"
+        assert err == (
+            f"orientlab: threshold-hyper(alpha=1;eps=0.05;delta={delta}): "
+            "epsilon and delta must lie in (0, 1)\n"
+        )
 
     def test_seeds_at_or_above_2_63_stay_distinct(self, capsys):
         def means(seed):
@@ -221,22 +248,23 @@ class TestRun:
         )
         assert code == 2
         assert out == ""
-        assert err == "orientlab: leaves-first policy is defined for a single hyperedge\n"
+        assert err == "orientlab: leaves-first: leaves-first policy is defined for a single hyperedge\n"
 
     @pytest.mark.parametrize(
         "args, message",
         [
             (
                 ["--gen", "fork", "-a", "leaves-first", "-a", "threshold-hyper", "--delta", "2"],
-                "leaves-first policy is defined for a single hyperedge",
+                "leaves-first: leaves-first policy is defined for a single hyperedge",
             ),
             (
                 ["--gen", "fork", "-a", "threshold-hyper", "-a", "leaves-first", "--delta", "2"],
-                "epsilon and delta must lie in (0, 1)",
+                "threshold-hyper(alpha=1;eps=0.05;delta=2): epsilon and delta must lie in (0, 1)",
             ),
             (
                 ["--gen", "overlap-family", "-a", "threshold"],
-                "exact probabilities only for graphs; use a sampled estimate",
+                "threshold(alpha=1;d=auto): exact probabilities only for graphs; "
+                "use a sampled estimate",
             ),
         ],
         ids=["leaves-first-first", "bad-delta-first", "exact-profile-on-hypergraph"],
@@ -306,10 +334,16 @@ class TestCheck:
 
 
 def test_console_entry_point():
+    import orientlab
+
+    env = dict(os.environ)
+    src = str(Path(orientlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "orientlab.cli", "generate", "fork"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert '"vertices"' in proc.stdout

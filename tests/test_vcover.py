@@ -16,7 +16,6 @@ from orientlab import (
     vc_bipartite_exact,
     vc_exact_small,
     vc_few_hyperedges,
-    vc_interval_union_dp,
     vc_local_ratio_2approx,
 )
 from test_model import uniform_vertex
@@ -301,48 +300,6 @@ class TestFewHyperedges:
         inst = gen_random("hypergraph", rng, n=10, m=6)
         with pytest.raises(SolverBoundError):
             vc_few_hyperedges(inst, max_hyperedges=2)
-
-
-class TestIntervalUnionDp:
-    def test_single_path(self):
-        g = unit_graph([("a", "b"), ("b", "c")])
-        cover = vc_interval_union_dp(g, [["a", "b", "c"]])
-        assert cover.members == {"b"}
-        assert cover.weight == 1.0
-
-    def test_single_edge(self):
-        g = unit_graph([("a", "b")])
-        assert vc_interval_union_dp(g, [["a", "b"]]).weight == 1.0
-
-    def test_two_layers_share_vertex(self):
-        edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "g")]
-        g = unit_graph(edges)
-        layers = [["a", "b", "c", "d"], ["d", "e", "f", "g"]]
-        cover = vc_interval_union_dp(g, layers)
-        assert cover.weight == pytest.approx(vc_exact_small(g).weight)
-
-    def test_matches_exact_on_random_layered(self):
-        rng = np.random.default_rng(11)
-        hits = 0
-        for _ in range(25):
-            inst, layers = gen_random("interval-layers", rng, k=2, n=8, unit_cost=False)
-            g = build_cover_graph(inst)
-            if not g.edges:
-                continue
-            hits += 1
-            cover = vc_interval_union_dp(g, layers)
-            assert cover.weight == pytest.approx(vc_exact_small(g).weight, abs=1e-9)
-        assert hits >= 15
-
-    def test_rejects_unexplained_edge(self):
-        g = unit_graph([("a", "b"), ("b", "c"), ("a", "c")])
-        with pytest.raises(ValueError):
-            vc_interval_union_dp(g, [["a", "b", "c"]])
-
-    def test_layer_bound(self):
-        g = unit_graph([("a", "b")])
-        with pytest.raises(SolverBoundError):
-            vc_interval_union_dp(g, [["a", "b"]] * 5)
 
 
 class TestLpStructureProperties:

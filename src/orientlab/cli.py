@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -77,7 +78,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _algorithm_specs(args: argparse.Namespace) -> list[AlgorithmSpec]:
-    d = None if args.d in (None, "auto") else float(args.d)
+    d = None
+    if args.d not in (None, "auto"):
+        try:
+            d = float(args.d)
+        except ValueError:
+            raise ValueError(f"--d must be a number or 'auto', got {args.d!r}") from None
     est_eps = args.eps if args.eps is not None else 0.05
     return [
         AlgorithmSpec(name, alpha=args.alpha, d=d, epsilon=est_eps, delta=args.delta)
@@ -181,7 +187,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"orientlab: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
     except (InstanceError, SolverBoundError, ValueError) as exc:
         print(f"orientlab: {exc}", file=sys.stderr)
         return 2

@@ -270,54 +270,16 @@ def _hyperedge_columns(
     instance: Instance,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per hyperedge, in index order: its member columns in key order and
-    the members' interval ends ``lo`` and ``hi`` (k x 1 each); built once
-    per instance."""
+    the members' interval ends ``lo`` and ``hi``; built once per
+    instance."""
     column = {vid: j for j, vid in enumerate(instance.vertex_ids)}
     lo_all = np.array([v.interval.lo for v in instance.vertices])
     hi_all = np.array([v.interval.hi for v in instance.vertices])
     edges = []
     for members in instance.hyperedges:
         cols = np.array([column[u] for u in members], dtype=np.intp)
-        edges.append(_read_only(cols, lo_all[cols][:, None], hi_all[cols][:, None]))
+        edges.append(_read_only(cols, lo_all[cols], hi_all[cols]))
     return tuple(edges)
-
-
-def _edge_step(
-    w: np.ndarray, q: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_edge_state` of one hyperedge on R rows at once.
-
-    ``w`` and ``q`` (k x R, member-major) are the members' weights and
-    query flags, members in key order; ``lo`` and ``hi`` (k x 1) their
-    interval ends.  Returns the minimum revealed weight w* of each row
-    (inf when nothing is revealed) and the member to query next, -1
-    where the hyperedge is solved.  The candidates are the unqueried
-    members with lo < w*; the hyperedge is solved when there is none, or
-    when some candidate x has hi_x <= w* and hi_x <= lo_u for every other
-    unqueried u; otherwise the next query is the first candidate in key
-    order.  The running minima and the first candidate come from loops
-    over the k members on rows of length R: an argmin or argmax along the
-    member axis is strided and slow.
-    """
-    w_star = np.where(q, w, np.inf).min(axis=0)
-    free_lo = np.where(q, np.inf, lo)  # lo of the unqueried members
-    candidate = free_lo < w_star
-    # lowest lo among the other unqueried members: the lower of the running
-    # minima before and after each member
-    other_lo = np.empty_like(free_lo)
-    after = np.full(q.shape[1], np.inf)
-    pick = np.full(q.shape[1], -1, dtype=np.intp)
-    for p in reversed(range(len(q))):
-        other_lo[p] = after
-        after = np.minimum(after, free_lo[p])
-        pick[candidate[p]] = p  # the last write is the first candidate
-    before = np.full(q.shape[1], np.inf)
-    for p in range(len(q)):
-        np.minimum(other_lo[p], before, out=other_lo[p])
-        before = np.minimum(before, free_lo[p])
-    certain = candidate & (hi <= w_star) & (hi <= other_lo)
-    pick[certain.any(axis=0)] = -1
-    return w_star, pick
 
 
 def completion_matrix(
@@ -330,23 +292,34 @@ def completion_matrix(
     ``algorithms._mandatory_completion`` visits the unsolved hyperedges in
     rounds, each in index order.  If its first round from a set S queries
     R1, the whole run queries R1 | M, M the mandatory set.  So here each
-    hyperedge gets one :func:`_edge_step` visit, in index order on all
-    rows, and M is OR-ed in.  Below, l is a hyperedge's leftmost member,
-    m its minimum and w* its least revealed weight.
+    hyperedge gets one visit, in index order on all rows, and M is OR-ed
+    in.  Below, l is a hyperedge's leftmost member, m its minimum and w*
+    its least revealed weight (inf when none is revealed).
+
+    A visit is :func:`_edge_state`, which on a reduced instance, where
+    every u != l has lo_l <= lo_u < hi_l < hi_u, is a two-case rule:
+
+    - l unqueried: query l, unless every other member is queried and
+      hi_l <= w*;
+    - l queried: query the first unqueried member u, in key order, with
+      lo_u < w*, or nothing if there is none.
+
+    A revealed w_x has lo_l <= lo_x < w_x, so an unqueried l is the first
+    candidate of :func:`_edge_state`: "open" queries l, "no candidate"
+    means l is queried, "certain x" with x != l would need hi_x <= lo_l
+    <= lo_x < hi_x, and "certain l" needs hi_l <= w* and hi_l <= lo_u for
+    every other unqueried u, that is, no other unqueried u.  With l
+    queried, w* <= w_l < hi_l, so a certain x would need hi_x <= w* <
+    hi_l < hi_x: the first candidate is the pick.
 
     R1 covers the cover graph (edges from l to the members overlapping
-    I_l): each visit leaves l queried or no other unqueried member
-    overlapping I_l, and queries only add.  A revealed w_x has
-    lo_l <= lo_x < w_x, so an unqueried l is the first candidate: "open"
-    queries l, "no candidate" means l is queried, "certain x" with x != l
-    would need hi_x <= lo_l <= lo_x < hi_x, and "certain l" means no
-    other unqueried member overlaps I_l.
+    I_l): each visit leaves l queried or every other member queried, and
+    queries only add.
 
-    From a cover every pick v is mandatory (see the module docstring),
-    since on a reduced instance every u != l has lo_l <= lo_u < hi_l < hi_u.
-    With l unqueried, all other members are queried, v = l and, l not
-    being certain, w* < hi_l: l is m and another weight w* lies in I_l,
-    or w_m = w* lies in I_l.  With l queried, lo_v < w* <= w_l < hi_l <
+    From a cover every pick v is mandatory (see the module docstring).
+    With l unqueried, all other members are queried, v = l and, the rule
+    picking l, w* < hi_l: l is m and another weight w* lies in I_l, or
+    w_m = w* lies in I_l.  With l queried, lo_v < w* <= w_l < hi_l <
     hi_v: v is m and another weight w* lies in I_v, or w_m lies in I_v,
     as w_m <= w* and m is queried (w_m = w*) or a later candidate
     (lo_v <= lo_m < w_m).  The run ends on a feasible set, which holds M,
@@ -355,9 +328,14 @@ def completion_matrix(
     weights_t = np.ascontiguousarray(weights.T)
     out_t = np.array(queried.T, dtype=bool, order="C")
     for cols, lo, hi in _hyperedge_columns(instance):
-        _, pick = _edge_step(weights_t[cols], out_t[cols], lo, hi)
-        for p, j in enumerate(cols.tolist()):
-            out_t[j] |= pick == p
+        q = out_t[cols]
+        w_star = np.where(q, weights_t[cols], np.inf).min(axis=0)
+        looking = q[0]  # l queried, no pick yet
+        for j, lo_j, q_j in zip(cols[1:].tolist(), lo[1:].tolist(), q[1:]):
+            pick = looking & ~q_j & (lo_j < w_star)
+            out_t[j] |= pick
+            looking = looking & ~pick
+        out_t[cols[0]] |= ~(q[1:].all(axis=0) & (hi[0] <= w_star))
     return out_t.T | mandatory
 
 

@@ -103,6 +103,27 @@ def test_degenerate_k_exits_2(argv, message, capsys):
     assert err == f"orientlab: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--instance", "{tmp}/missing.json"], "{tmp}/missing.json: No such file or directory"),
+        (["run", "--instance", "{tmp}"], "{tmp}: Is a directory"),
+        (
+            ["run", "--gen", "fork", "--samples", "100", "-o", "{tmp}/no/x.csv"],
+            "{tmp}/no/x.csv: No such file or directory",
+        ),
+        (["generate", "fork", "-o", "{tmp}/no/x.json"], "{tmp}/no/x.json: No such file or directory"),
+        (["generate", "fork", "-o", "{tmp}"], "{tmp}: Is a directory"),
+        (["run", "--gen", "fork", "--d", "abc"], "--d must be a number or 'auto', got 'abc'"),
+    ],
+)
+def test_bad_path_or_d_exits_2(argv, message, tmp_path, capsys):
+    code, out, err = run_main([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"orientlab: {message.replace('{tmp}', str(tmp_path))}\n"
+
+
 class TestRun:
     def test_run_three_algorithms(self, tmp_path, capsys):
         path = tmp_path / "fork.json"
@@ -362,6 +383,33 @@ def test_python_m_orientlab_prints_cli_main_bytes(capsys):
     code, out, _ = run_main(argv, capsys)
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["generate", "staircase", "--n", "4096"], 80),  # about 1.5 MB, past any pipe buffer
+        (["run", "--gen", "fork", "--samples", "100"], 0),
+    ],
+    ids=["closed-after-80-bytes", "closed-before-output"],
+)
+def test_closed_stdout_exits_1_with_empty_stderr(argv, read):
+    """A reader that closes the pipe early, as ``| head -c 80`` does:
+    exit 1, nothing on stderr, no traceback."""
+    import orientlab
+
+    env = dict(os.environ)
+    src = str(Path(orientlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orientlab", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
+    )
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        assert len(reader.read(read)) == read
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_check_failure_exit_code(monkeypatch, capsys):

@@ -43,17 +43,17 @@ from orientlab.harness import (
     BENCHMARKS,
     _alg_costs,
     _BlockSampler,
+    _leaves_first_stage1,
     _PairedBatch,
     _query_sets,
 )
 from orientlab.mandatory import (
     _edge_state,
-    _edge_step,
     completion_matrix,
     feasible_matrix,
     mandatory_matrix,
 )
-from orientlab.model import weights_from_uniforms
+from orientlab.model import Realization, weights_from_uniforms
 
 N = 150
 SEED = 11
@@ -278,35 +278,111 @@ def _uniform_vertex(vid, lo, hi):
     return UncertainVertex(vid, 1.0, interval, Pmf((PmfCell(interval, 1.0),)))
 
 
-@pytest.mark.parametrize("k", range(1, 8))
-def test_edge_step_matches_edge_state(k):
-    """``_edge_step`` on every row against the scalar ``_edge_state``.
-    Lower ends are drawn from {0, 1, 2}, so members tie on lo (and on the
-    whole key but the id), and weights from a quarter grid, so w* can
-    equal another member's end.  Row 0 has every member queried, row 1
-    none, the rest random masks."""
+def _reduced_hyperedge(rng, k):
+    """A reduced instance of one hyperedge of k members with integer
+    ends: the leftmost l = (lo_l, hi_l) and every other u with lo_l <=
+    lo_u < hi_l < hi_u.  Lower ends come from {0, 1, 2}, so members tie
+    on lo, and upper ends from two values, so non-leftmost members also
+    tie on the whole key but the id.  Ids are shuffled against the key."""
+    los = rng.integers(0, 3, k)
+    left = int(np.argmin(los))
+    hi_l = int(los.max()) + int(rng.integers(1, 3))
+    his = [hi_l if p == left else hi_l + int(rng.integers(1, 3)) for p in range(k)]
+    names = rng.permutation(k)
+    instance = make_instance(
+        [_uniform_vertex(f"u{name}", lo, hi) for name, lo, hi in zip(names, los, his)],
+        [[f"u{name}" for name in names]],
+    )
+    assert instance.is_reduced()
+    return instance
+
+
+def _quarter_weights(instance, rng, rows):
+    """Rows of weights strictly inside each interval on a quarter grid, so
+    a revealed weight can equal another member's end."""
+    lo = np.array([instance.interval(v).lo for v in instance.vertex_ids])
+    hi = np.array([instance.interval(v).hi for v in instance.vertex_ids])
+    return lo + rng.integers(1, 4 * (hi - lo), size=(rows, len(lo))) / 4
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_completion_visit_matches_edge_state(k):
+    """One ``completion_matrix`` visit, row by row, against the scalar
+    ``_edge_state`` on a one-hyperedge reduced instance: with a zero
+    mandatory mask the kernel returns the start plus the visit's pick.
+    Row 0 has every member queried, row 1 none, the rest random masks."""
     rng = np.random.default_rng(k)
     rows = 30
     for _ in range(40):
-        ends = [(lo, lo + width) for lo, width in zip(rng.integers(0, 3, k), rng.integers(1, 4, k))]
-        names = rng.permutation(k)
-        instance = make_instance(
-            [_uniform_vertex(f"u{name}", lo, hi) for name, (lo, hi) in zip(names, ends)], []
-        )
-        members = sorted(instance.vertex_ids, key=lambda u: instance.by_id[u].key)
-        lo = np.array([[instance.interval(u).lo] for u in members])
-        hi = np.array([[instance.interval(u).hi] for u in members])
-        w = lo + rng.integers(1, 4 * (hi - lo), size=(k, rows)) / 4
-        q = rng.random((k, rows)) < rng.random()
-        q[:, 0], q[:, 1] = True, False
-        w_star, pick = _edge_step(w, q, lo, hi)
-        assert pick.dtype == np.intp
+        instance = _reduced_hyperedge(rng, k)
+        (members,) = instance.hyperedges
+        weights = _quarter_weights(instance, rng, rows)
+        start = rng.random(weights.shape) < rng.random()
+        start[0], start[1] = True, False
+        out = completion_matrix(instance, weights, start, np.zeros_like(start))
         for r in range(rows):
-            revealed = {u: w[p, r] for p, u in enumerate(members) if q[p, r]}
+            revealed = {u: w for u, w, q in zip(instance.vertex_ids, weights[r], start[r]) if q}
             status, vid = _edge_state(instance, members, revealed)
-            expect = -1 if status == "solved" else members.index(vid)
-            assert pick[r] == expect, (members, revealed)
-            assert w_star[r] == min(revealed.values(), default=math.inf)
+            expect = _members(instance, start[r]) | ({vid} if status == "open" else set())
+            assert _members(instance, out[r]) == expect, (members, revealed)
+
+
+def _leaves_first_rows(instance, weights):
+    """``_leaves_first_stage1`` and ``run_leaves_first`` on every row: the
+    stage-1 masks and the scalar runs' stage-1 sets and query sets."""
+    stage1 = _leaves_first_stage1(instance, weights)
+    runs = [
+        run_leaves_first(instance, Realization(dict(zip(instance.vertex_ids, row))))
+        for row in weights.tolist()
+    ]
+    return stage1, runs
+
+
+@pytest.mark.parametrize("t", range(42))
+def test_leaves_first_random_hyperedges_match_scalar_reference(t):
+    """Seeded random single hyperedges of 2-8 members, unit and random
+    costs: per realization, the batched stage 1 is the scalar run's
+    stage-1 set, and the evaluator's query set and cost are the run's."""
+    rng = np.random.default_rng([SEED, t])
+    k = 2 + t % 7
+    vertices = gen_random("hypergraph", rng, n=k, m=1, max_size=k, unit_cost=t % 2 == 0).vertices
+    instance = make_instance(vertices, [[v.id for v in vertices]])
+    assert instance.is_reduced()
+    batch = _batch(instance, SEED + t, 60)
+    stage1, runs = _leaves_first_rows(instance, batch.weights)
+    policy = plan(AlgorithmSpec("leaves-first"), instance, SEED)
+    alg = _alg_costs(policy, batch)
+    sets, index = _query_sets(policy, batch)
+    for i, out in enumerate(runs):
+        expect = {s.vertex for s in out.steps if s.stage == "stage1"}
+        assert _members(instance, stage1[i]) == expect, (k, i)
+        assert _members(instance, sets[index[i]]) == out.queried, (k, i)
+        assert alg[i] == out.total_cost, (k, i)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_leaves_first_stage1_at_prefix_minimum_hi_l(k):
+    """Hand-built rows in which w_p = hi_l is the least of w_1 .. w_p, for
+    every p, and one row with every w_p = hi_l: the run goes on to member
+    p + 1, as the scalar run does, since I_l is open."""
+    rng = np.random.default_rng(k)
+    for _ in range(10):
+        instance = _reduced_hyperedge(rng, k)
+        (members,) = instance.hyperedges
+        column = [instance.vertex_ids.index(u) for u in members]
+        hi_l = instance.interval(members[0]).hi
+        weights = _quarter_weights(instance, rng, 2 * k)
+        for p in range(1, k):
+            # w_1 .. w_{p-1} above hi_l, w_p = hi_l, the rest random
+            for row in (weights[p], weights[k + p]):
+                row[column[1:p]] = np.maximum(row[column[1:p]], hi_l + 0.25)
+                row[column[p]] = hi_l
+        weights[k, column[1:]] = hi_l
+        stage1, runs = _leaves_first_rows(instance, weights)
+        for i, out in enumerate(runs):
+            expect = {s.vertex for s in out.steps if s.stage == "stage1"}
+            assert _members(instance, stage1[i]) == expect, (members, weights[i])
+        assert stage1[k, column[1:]].all()
 
 
 @pytest.mark.parametrize("instance", [c for _, c in CASES], ids=IDS)

@@ -95,7 +95,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if (args.instance is None) == (args.gen is None):
         raise InstanceError("provide exactly one of --instance FILE or --gen NAME")
     if args.instance:
-        instance = parse_instance(Path(args.instance).read_text())
+        try:
+            text = Path(args.instance).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            where = f"{exc.reason} at byte {exc.start}"
+            raise InstanceError(f"{args.instance}: not UTF-8 text ({where})") from exc
+        instance = parse_instance(text)
         instance_id = Path(args.instance).stem
     else:
         instance = gen_benchmark(args.gen, **_gen_params(args, args.gen, "--gen-d"))

@@ -19,8 +19,10 @@ import numpy as np
 
 from .algorithms import AlgorithmSpec, OfflineOracle, Policy, plan, profiles
 from .mandatory import (
-    _hyperedge_columns,
+    _bit_rows,
+    _completion_table,
     _kernel_rows,
+    _row_bits,
     completion_matrix,
     feasible_matrix,
     is_feasible,
@@ -72,10 +74,6 @@ __all__ = [
 ]
 
 _BLOCK = 4096
-# completion row block: a visit costs a dozen numpy calls per hyperedge at
-# any row count; on 10,000 samples (2-core Xeon) 1,024- and 2,048-row blocks
-# ran 1.7x and 1.3x as long, 8,192 within noise
-_COMPLETION_ROWS = 4096
 
 
 class _BlockSampler:
@@ -687,22 +685,6 @@ class EvaluationReport:
     alpha: float | None = None
 
 
-def _row_bits(masks: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int, bit j for column j."""
-    packed = np.packbits(masks, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(data[a : a + width], "little") for a in range(0, len(data), width)]
-
-
-def _bit_rows(rows: Sequence[int], width: int) -> np.ndarray:
-    """The inverse of :func:`_row_bits`: ints in, a len(rows) x width
-    boolean matrix out, column j from bit j, in one ``np.unpackbits``."""
-    size = -(-width // 8)
-    data = b"".join(row.to_bytes(size, "little") for row in rows)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), size)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
-
-
 def _number_rows(masks: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Number the distinct rows of a boolean matrix in order of first
     occurrence: the number of every row, and the first row of each."""
@@ -781,10 +763,12 @@ def _leaves_first_stage1(instance: Instance, weights: np.ndarray) -> np.ndarray:
     lies above lo_l, and with l and member p unqueried the hyperedge is
     not solved (:func:`mandatory.completion_matrix`), so the run stops
     exactly when the least revealed weight falls inside I_l."""
-    ((cols, _, hi),) = _hyperedge_columns(instance)
+    _, ((l, others, _),) = _completion_table(instance)
+    cols = [x for x, _ in others]
     queried = np.zeros(weights.shape, dtype=bool)
-    queried[:, cols[1]] = True
-    queried[:, cols[2:]] = np.minimum.accumulate(weights[:, cols[1:-1]], axis=1) >= hi[0]
+    queried[:, cols[0]] = True
+    hi_l = instance.vertices[l].interval.hi
+    queried[:, cols[1:]] = np.minimum.accumulate(weights[:, cols[:-1]], axis=1) >= hi_l
     return queried
 
 
@@ -802,11 +786,8 @@ def _query_sets(policy: Policy, batch: _PairedBatch) -> tuple[np.ndarray, np.nda
         start = _leaves_first_stage1(instance, weights)
     else:
         start = np.broadcast_to(batch.mask(policy.stage1), weights.shape)
-    queried = np.empty(weights.shape, dtype=bool)
-    for a in range(0, len(weights), _COMPLETION_ROWS):
-        rows = slice(a, a + _COMPLETION_ROWS)
-        mandatory = batch.patterns[batch.pattern[rows]]
-        queried[rows] = completion_matrix(instance, weights[rows], start[rows], mandatory)
+    mandatory = batch.patterns[batch.pattern]
+    queried = completion_matrix(instance, weights, start, mandatory)
     index, first = _number_rows(queried)
     return queried[first], index
 

@@ -245,9 +245,7 @@ class Instance:
         return True
 
     def validate(self) -> None:
-        ids = [v.id for v in self.vertices]
-        if len(set(ids)) != len(ids):
-            raise InstanceError("duplicate vertex ids")
+        _check_unique_ids(self.vertices)
         for v in self.vertices:
             v.validate()
         for f in self.hyperedges:
@@ -258,6 +256,14 @@ class Instance:
             for u in f:
                 if u not in self.by_id:
                     raise InstanceError(f"hyperedge references unknown id {u!r}")
+
+
+def _check_unique_ids(vertices: Iterable[UncertainVertex]) -> None:
+    seen: set[str] = set()
+    for v in vertices:
+        if v.id in seen:
+            raise InstanceError(f"duplicate vertex id {v.id!r}")
+        seen.add(v.id)
 
 
 def per_instance(build: Callable[[Instance], _T]) -> Callable[[Instance], _T]:
@@ -281,6 +287,7 @@ def make_instance(
 ) -> Instance:
     """Build a canonical, validated instance."""
     verts = tuple(sorted(vertices, key=lambda v: v.id))
+    _check_unique_ids(verts)  # before a duplicate hides an id from a hyperedge
     by_id = {v.id: v for v in verts}
     edges = []
     for f in hyperedges:

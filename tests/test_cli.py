@@ -507,6 +507,36 @@ def test_malformed_instance_file_exits_2(doc, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "data, where",
+    [
+        (b'{"vertices": [\xcb\x01]}', "invalid continuation byte at byte 14"),
+        (b"\xff\xfe{}", "invalid start byte at byte 0"),
+        (b"{}\xe2\x82", "unexpected end of data at byte 2"),
+    ],
+)
+def test_non_utf8_instance_file_exits_2(data, where, tmp_path, capsys):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(data)
+    code, out, err = run_main(["run", "--instance", str(path), "--samples", "20"], capsys)
+    assert (code, out, err) == (2, "", f"orientlab: {path}: not UTF-8 text ({where})\n")
+
+
+@pytest.mark.parametrize("keep_edges", [True, False])
+def test_duplicate_vertex_id_exits_2(keep_edges, tmp_path, capsys):
+    """fork with its second vertex renamed to the first one's id: named as
+    a duplicate, also while a hyperedge still references the old id."""
+    doc = json.loads(serialize_instance(gen_benchmark("fork")))
+    doc["vertices"][1]["id"] = doc["vertices"][0]["id"]
+    assert doc["hyperedges"] == [["x", "y"], ["x", "z"]]
+    if not keep_edges:
+        doc["hyperedges"] = [["x", "z"]]
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(["run", "--instance", str(path), "--samples", "20"], capsys)
+    assert (code, out, err) == (2, "", "orientlab: duplicate vertex id 'x'\n")
+
+
+@pytest.mark.parametrize(
     "field, value, message",
     [
         ("cost", True, "vertex a: cost must be a number, got true"),

@@ -33,6 +33,7 @@ from orientlab import (
     make_instance,
     mandatory_set,
     probability_matrix,
+    run_adversarial_baseline,
     run_fixed_cover,
     run_leaves_first,
     sample_realization,
@@ -325,6 +326,124 @@ def test_completion_visit_matches_edge_state(k):
             status, vid = _edge_state(instance, members, revealed)
             expect = _members(instance, start[r]) | ({vid} if status == "open" else set())
             assert _members(instance, out[r]) == expect, (members, revealed)
+
+
+BOUNDARY_ROWS = [1, 7, 8, 9, 63, 64, 65, 4095, 4096, 4097, 8193]
+POOL = 256  # distinct realizations; every row count draws its rows from them
+
+
+def _boundary_instances():
+    yield "gnp", gen_random("gnp", 3, n=10, p=0.4, unit_cost=False)
+    instance = gen_random("hypergraph", 11, n=12, m=4, max_size=8, unit_cost=False)
+    assert sorted(map(len, instance.hyperedges)) == [2, 4, 6, 8]
+    yield "hypergraph", instance
+    yield "staircase", gen_benchmark("staircase", n=64)
+
+
+BOUNDARY_CASES = list(_boundary_instances())
+BOUNDARY_IDS = [name for name, _ in BOUNDARY_CASES]
+
+
+def _weights_on_ends(instance, rng, rows):
+    """Rows of interior weights of which about half sit exactly on another
+    vertex's interval end, where the strict and non-strict tests differ."""
+    lo = np.array([instance.interval(v).lo for v in instance.vertex_ids])
+    hi = np.array([instance.interval(v).hi for v in instance.vertex_ids])
+    weights = lo + (hi - lo) * rng.uniform(0.001, 0.999, (rows, len(lo)))
+    ends = np.concatenate([lo, hi])
+    for j in range(len(lo)):
+        inside = ends[(lo[j] < ends) & (ends < hi[j])]
+        on_end = rng.random(rows) < 0.5
+        if inside.size:
+            weights[on_end, j] = rng.choice(inside, on_end.sum())
+    return weights
+
+
+def _first_round(instance, start, realization):
+    """The scalar first round of the completion from ``start``: each
+    hyperedge visited once, in index order, through ``_edge_state``."""
+    queried = set(start)
+    for members in instance.hyperedges:
+        revealed = {u: realization[u] for u in members if u in queried}
+        status, vid = _edge_state(instance, members, revealed)
+        if status == "open":
+            queried.add(vid)
+    return queried
+
+
+def _masks(instance, sets):
+    return np.array([[v in chosen for v in instance.vertex_ids] for chosen in sets])
+
+
+def _boundary_pool(instance):
+    """POOL realizations, their rows, and the row of each of 8,193
+    positions, so that every bit position of every block is used."""
+    rng = np.random.default_rng(len(instance.vertices))
+    weights = _weights_on_ends(instance, rng, POOL)
+    realizations = [Realization(dict(zip(instance.vertex_ids, row))) for row in weights.tolist()]
+    return weights, realizations, rng.integers(0, POOL, max(BOUNDARY_ROWS))
+
+
+@pytest.mark.parametrize("instance", [c for _, c in BOUNDARY_CASES], ids=BOUNDARY_IDS)
+def test_completion_matrix_at_bit_boundaries(instance):
+    """Row counts around bytes, words and ``_COMPLETION_ROWS`` blocks, from
+    an empty start, a random start per row and a cover of the cover
+    graph: with the mandatory rows OR-ed in, every row is the scalar
+    run's query set; with none, the scalar first round."""
+    weights, realizations, position = _boundary_pool(instance)
+    rng = np.random.default_rng(7)
+    ids = instance.vertex_ids
+    leftmost = {members[0] for members in instance.hyperedges}
+    assert all(a in leftmost or b in leftmost for a, b in build_cover_graph(instance).edges)
+    starts = {
+        "empty": np.zeros(weights.shape, dtype=bool),
+        "random": rng.random(weights.shape) < rng.random((POOL, 1)),
+        "cover": np.array([[v in leftmost for v in ids]] * POOL),
+    }
+    for label, start in starts.items():
+        full, first = [], []
+        for row, r in zip(start, realizations):
+            stage1 = _members(instance, row)
+            full.append(run_fixed_cover(instance, stage1, r).queried)
+            first.append(_first_round(instance, stage1, r))
+        full, first = _masks(instance, full), _masks(instance, first)
+        for rows in BOUNDARY_ROWS:
+            at = position[:rows]
+            mandatory = mandatory_matrix(instance, weights[at])
+            for m, expect in ((mandatory, full), (np.zeros_like(mandatory), first)):
+                out = completion_matrix(instance, weights[at], start[at], m)
+                wrong = np.flatnonzero((out != expect[at]).any(axis=1))
+                assert wrong.size == 0, (label, rows, m is mandatory, wrong[:5])
+
+
+@pytest.mark.parametrize("instance", [c for _, c in BOUNDARY_CASES], ids=BOUNDARY_IDS)
+def test_query_sets_at_bit_boundaries(instance):
+    """The evaluator's adaptive query sets at the same row counts: the
+    baseline against ``run_adversarial_baseline``, a fixed set that is no
+    cover against ``run_fixed_cover`` and, on the single hyperedge,
+    leaves-first against ``run_leaves_first``."""
+    weights, realizations, position = _boundary_pool(instance)
+    a, b = build_cover_graph(instance).edges[0]
+    rest = tuple(v for v in instance.vertex_ids if v not in (a, b))
+    runs = {
+        AlgorithmSpec("baseline"): lambda r: run_adversarial_baseline(instance, r),
+        AlgorithmSpec("fixed-cover", cover=rest): lambda r: run_fixed_cover(instance, rest, r),
+    }
+    if len(instance.hyperedges) == 1:
+        runs[AlgorithmSpec("leaves-first")] = lambda r: run_leaves_first(instance, r)
+    expect = {
+        spec: _masks(instance, [run(r).queried for r in realizations]) for spec, run in runs.items()
+    }
+    oracle = OfflineOracle(instance, VC_BOUND)
+    for rows in BOUNDARY_ROWS:
+        at = position[:rows]
+        batch = _PairedBatch(instance, weights[at], oracle)
+        for spec in runs:
+            policy = plan(spec, instance, SEED)
+            assert policy.adaptive, spec.algorithm_id
+            sets, index = _query_sets(policy, batch)
+            wrong = np.flatnonzero((sets[index] != expect[spec][at]).any(axis=1))
+            assert wrong.size == 0, (spec.algorithm_id, rows, wrong[:5])
 
 
 def _leaves_first_rows(instance, weights):

@@ -34,7 +34,7 @@ from orientlab import (
     make_cover_graph,
     vc_exact_small,
 )
-from orientlab.harness import _bit_rows, _row_bits
+from orientlab.mandatory import _bit_rows, _row_bits
 from orientlab.vcover import EPS, _FlowNet
 
 

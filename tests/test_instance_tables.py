@@ -1,9 +1,10 @@
 """Tables built once per instance, and the layout of the weight map.
 
 The kernels' hyperedge tables (``mandatory._edge_groups``,
-``mandatory._hyperedge_columns``) and the cost-weighted cover graph are
-functions of the immutable instance: each is built on first use, kept on
-the instance and shared, read-only, by every later call.  The weight map
+``mandatory._completion_table``), the exact mandatory profile and the
+cost-weighted cover graph are functions of the immutable instance: each
+is built on first use, kept on the instance and shared, read-only, by
+every later call; ``TABLES`` names every such table.  The weight map
 writes its weights vertex-major and returns them transposed; its values
 and its redraw order must be those of the row-major map kept here as the
 reference.  The instance's own constants (``vertex_ids``, the pmf
@@ -12,10 +13,13 @@ table's cumulative masses, reducedness) are computed once as well.
 
 import collections
 import functools
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import orientlab
 from orientlab import AlgorithmSpec, CoverGraph, build_cover_graph, gen_benchmark, gen_random
 from orientlab import harness, mandatory, vcover
 from orientlab.harness import evaluate_all
@@ -24,25 +28,47 @@ from orientlab.model import Instance, per_instance, weights_from_uniforms
 
 TABLES = [
     (mandatory, "_edge_groups"),
-    (mandatory, "_hyperedge_columns"),
+    (mandatory, "_completion_table"),
+    (mandatory, "exact_prob_graph"),
     (vcover, "_cost_cover_graph"),
 ]
 
 
+def _modules():
+    """The package and every module in it but ``__main__``."""
+    names = [m.name for m in pkgutil.iter_modules(orientlab.__path__) if m.name != "__main__"]
+    return [orientlab] + [importlib.import_module(f"orientlab.{name}") for name in names]
+
+
+def test_tables_names_every_per_instance_table():
+    """Every function that ``per_instance`` wraps shares the wrapper's code
+    object: find them all in the package, each under its own module."""
+    wrapper = per_instance(lambda instance: None).__code__
+    found = {
+        (obj.__module__, obj.__name__)
+        for module in _modules()
+        for obj in vars(module).values()
+        if getattr(obj, "__code__", None) is wrapper
+    }
+    assert found == {(module.__name__, name) for module, name in TABLES}
+
+
 def _count_builds(monkeypatch):
-    """Rebind every table to a fresh cache whose builder counts its runs."""
+    """Rebind every table, wherever it is imported, to a fresh cache whose
+    builder counts its runs."""
     builds = collections.Counter()
     for module, name in TABLES:
-        build = getattr(module, name).__wrapped__
+        kept = getattr(module, name)
+        build = kept.__wrapped__
 
         def counted(instance, build=build, name=name):
             builds[name] += 1
             return build(instance)
 
         table = per_instance(counted)
-        monkeypatch.setattr(module, name, table)
-        if hasattr(harness, name):
-            monkeypatch.setattr(harness, name, table)
+        for other in _modules():
+            if getattr(other, name, None) is kept:
+                monkeypatch.setattr(other, name, table)
     return builds
 
 
@@ -70,10 +96,13 @@ def _count_builds(monkeypatch):
 )
 def test_each_table_is_built_once_per_instance(monkeypatch, instance, specs):
     builds = _count_builds(monkeypatch)
+    expect = {name: 1 for _, name in TABLES}
+    if instance.kind != "graph":  # only graphs have an exact profile
+        del expect["exact_prob_graph"]
     first = evaluate_all(instance, specs, 3000, 11)
-    assert builds == {name: 1 for _, name in TABLES}
+    assert builds == expect
     second = evaluate_all(instance, specs, 3000, 11)
-    assert builds == {name: 1 for _, name in TABLES}  # kept on the instance
+    assert builds == expect  # kept on the instance
     assert [r.ci95_ratio for r in first] == [r.ci95_ratio for r in second]
 
 
@@ -88,23 +117,39 @@ def test_each_table_is_built_once_per_instance(monkeypatch, instance, specs):
 def test_tables_are_shared_read_only_and_equal_fresh_builds(instance):
     for module, name in TABLES:
         table = getattr(module, name)
+        if name == "exact_prob_graph" and instance.kind != "graph":
+            continue
         assert table(instance) is table(instance)
         fresh = table.__wrapped__(instance)
         if name == "_cost_cover_graph":
             assert isinstance(fresh, CoverGraph) and table(instance) == fresh
-            continue
-        assert isinstance(table(instance), tuple)
-        for kept, built in zip(table(instance), fresh, strict=True):
-            for a, b in zip(kept, built, strict=True):
-                assert not a.flags.writeable
-                assert np.array_equal(a, b) and a.dtype == b.dtype
-                with pytest.raises(ValueError, match="read-only"):
-                    a[...] = 0
+        elif name == "exact_prob_graph":
+            assert table(instance).probs == fresh.probs
+            with pytest.raises(TypeError):
+                table(instance).probs[instance.vertex_ids[0]] = 0.5
+        else:
+            _assert_read_only_copy(table(instance), fresh)
     assert build_cover_graph(instance) is build_cover_graph(instance)
     weights = {v: 1.0 + i for i, v in enumerate(instance.vertex_ids)}
     weighted = build_cover_graph(instance, weights)
     assert weighted.edges == build_cover_graph(instance).edges
     assert weighted.weights == weights
+
+
+def _assert_read_only_copy(kept, built):
+    """Tuples of equal shape down to equal leaves; every array kept is
+    read-only."""
+    if isinstance(kept, np.ndarray):
+        assert not kept.flags.writeable
+        assert np.array_equal(kept, built) and kept.dtype == built.dtype
+        with pytest.raises(ValueError, match="read-only"):
+            kept[...] = 0
+    elif isinstance(kept, tuple):
+        assert isinstance(built, tuple)
+        for a, b in zip(kept, built, strict=True):
+            _assert_read_only_copy(a, b)
+    else:
+        assert type(kept) is int and kept == built
 
 
 def _reference_weights(instance, uniforms, redraw):

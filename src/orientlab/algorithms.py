@@ -29,6 +29,7 @@ from .mandatory import (
 )
 from .model import Instance, QueryStep, QueryTranscript, Realization
 from .vcover import (
+    FEW_HYPEREDGES,
     Cover,
     CoverGraph,
     _bit_components,
@@ -459,13 +460,13 @@ def _auto_strategy(spec: AlgorithmSpec, instance: Instance) -> str:
     """The black-box cover solver a threshold or bestvc spec plans with:
     the local-ratio 2-approximation for a threshold spec declaring alpha
     >= 2, the bipartite min-cut for bestvc on a bipartite graph,
-    per-hyperedge enumeration on a hypergraph with at most 20 hyperedges,
-    and the exact branch and bound otherwise."""
+    per-hyperedge enumeration on a hypergraph with at most
+    FEW_HYPEREDGES hyperedges, and the exact branch and bound otherwise."""
     if spec.kind.startswith("threshold") and spec.alpha >= 2.0:
         return "local-ratio"
     if spec.kind == "bestvc" and instance.kind == "graph" and bipartition(build_cover_graph(instance)):
         return "bipartite"
-    if instance.kind == "hypergraph" and len(instance.hyperedges) <= 20:
+    if instance.kind == "hypergraph" and len(instance.hyperedges) <= FEW_HYPEREDGES:
         return "few-hyperedges"
     return "exact-small"
 

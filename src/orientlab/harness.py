@@ -20,7 +20,6 @@ import numpy as np
 from .algorithms import AlgorithmSpec, OfflineOracle, Policy, plan, profiles
 from .mandatory import (
     _bit_rows,
-    _completion_table,
     _kernel_rows,
     _row_bits,
     completion_matrix,
@@ -72,56 +71,6 @@ __all__ = [
     "vertex_split",
     "gen_generalized",
 ]
-
-_BLOCK = 4096
-
-
-class _BlockSampler:
-    """Counter-based realization streams.
-
-    Realization i is a pure function of (master_seed, i): uniforms come
-    from the counter-based stream keyed [master_seed, i // block] and the
-    row i % block of a vectorized block, so results do not depend on how
-    indices are split into row ranges.  They become weights through
-    :func:`weights_from_uniforms`; exact cell-endpoint hits redraw from a
-    per-index stream.
-    """
-
-    def __init__(self, instance: Instance, master_seed: int):
-        self.instance = instance
-        self.master_seed = master_seed
-        self.ids = list(instance.vertex_ids)
-        self._block = -1
-        self._weights: np.ndarray | None = None
-
-    def _block_weights(self, block: int, rows: int) -> np.ndarray:
-        """Weights of the first ``rows`` realizations of one block."""
-        # a uint64 key: a list holding a seed of 2^63 or more goes through float
-        key = np.array([self.master_seed, block], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        uniforms = rng.random((rows, 2 * len(self.ids)))
-        seed = self.master_seed
-        return weights_from_uniforms(
-            self.instance, uniforms, lambda row, j: np.random.default_rng([seed, block, row, j])
-        )
-
-    def weights(self, start: int, stop: int) -> np.ndarray:
-        """Weights of realizations start..stop-1: one row each, columns in
-        ``vertex_ids`` order, written block by block into one array."""
-        out = np.empty((max(0, stop - start), len(self.ids)))
-        for block in range(start // _BLOCK, -(-stop // _BLOCK)):
-            first = block * _BLOCK
-            lo, hi = max(start, first) - first, min(stop, first + _BLOCK) - first
-            out[first + lo - start : first + hi - start] = self._block_weights(block, hi)[lo:]
-        return out
-
-    def realization(self, index: int) -> Realization:
-        block, row = divmod(index, _BLOCK)
-        if block != self._block:
-            self._weights = self._block_weights(block, _BLOCK)
-            self._block = block
-        return Realization(dict(zip(self.ids, self._weights[row].tolist())))
-
 
 # ---------------------------------------------------------------------------
 # Named benchmark instances
@@ -763,11 +712,11 @@ def _leaves_first_stage1(instance: Instance, weights: np.ndarray) -> np.ndarray:
     lies above lo_l, and with l and member p unqueried the hyperedge is
     not solved (:func:`mandatory.completion_matrix`), so the run stops
     exactly when the least revealed weight falls inside I_l."""
-    _, ((l, others, _),) = _completion_table(instance)
-    cols = [x for x, _ in others]
+    leftmost, *others = instance.hyperedges[0]
+    cols = [instance.vertex_ids.index(x) for x in others]
     queried = np.zeros(weights.shape, dtype=bool)
     queried[:, cols[0]] = True
-    hi_l = instance.vertices[l].interval.hi
+    hi_l = instance.by_id[leftmost].interval.hi
     queried[:, cols[1:]] = np.minimum.accumulate(weights[:, cols[:-1]], axis=1) >= hi_l
     return queried
 
@@ -811,6 +760,33 @@ def _ratio_ci(alg: np.ndarray, opt: np.ndarray) -> tuple[float, float]:
     sd = float(np.std(alg - ratio * opt, ddof=1))
     half = 1.959963984540054 * sd / (math.sqrt(len(opt)) * mean_opt)
     return max(ratio - half, min(ratio, 1.0)), ratio + half
+
+
+_BLOCK = 4096
+
+
+def _sample_weights(instance: Instance, master_seed: int, count: int) -> np.ndarray:
+    """Weights of realizations 0..count-1: one row each, columns in
+    ``vertex_ids`` order, written block by block into one array.
+
+    Realization i is a pure function of (master_seed, i), so a shorter
+    draw is a prefix of a longer one: its uniforms are row i % _BLOCK of
+    the counter-based stream keyed [master_seed, i // _BLOCK], and they
+    become weights through :func:`weights_from_uniforms`; an exact
+    cell-endpoint hit redraws from the stream [master_seed, block, row, j].
+    """
+    n = len(instance.vertex_ids)
+    out = np.empty((count, n))
+    for first in range(0, count, _BLOCK):
+        block, rows = first // _BLOCK, min(_BLOCK, count - first)
+        # a uint64 key: a list holding a seed of 2^63 or more goes through float
+        rng = np.random.Generator(np.random.Philox(key=np.array([master_seed, block], dtype=np.uint64)))
+        out[first : first + rows] = weights_from_uniforms(
+            instance,
+            rng.random((rows, 2 * n)),
+            lambda row, j: np.random.default_rng([master_seed, block, row, j]),
+        )
+    return out
 
 
 def evaluate_all(
@@ -867,7 +843,7 @@ def evaluate_all(
         planned.append((policy, time.perf_counter() - start))
     start = time.perf_counter()
     try:
-        weights = _BlockSampler(instance, master_seed).weights(0, n_samples)
+        weights = _sample_weights(instance, master_seed, n_samples)
         batch = _PairedBatch(instance, weights, OfflineOracle(instance, vc_bound))
     except SolverBoundError as exc:
         return [p if isinstance(p, SolverBoundError) else exc for p, _ in planned]

@@ -356,15 +356,18 @@ def _number(vid: str, field: str, value: object) -> float:
     return float(value)
 
 
-def _interval(vid: str, field: str, ends: Sequence[object]) -> Interval:
-    return Interval(_number(vid, field, ends[0]), _number(vid, field, ends[1]))
+def _interval(vid: str, field: str, ends: object) -> Interval:
+    """An interval field of a vertex entry: a list of exactly two numbers."""
+    if not isinstance(ends, list) or len(ends) != 2:
+        raise InstanceError(f"vertex {vid}: {field} must be two numbers, got {json.dumps(ends)}")
+    return Interval(*(_number(vid, f"{field} end", end) for end in ends))
 
 
 def parse_instance(text: str) -> Instance:
     """Parse the JSON instance document format."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list):
         raise InstanceError("document must be an object with a 'vertices' list")
@@ -377,9 +380,9 @@ def parse_instance(text: str) -> Instance:
     for row in doc["vertices"]:
         try:
             vid = str(row["id"])
-            interval = _interval(vid, "interval end", row["interval"])
+            interval = _interval(vid, "interval", row["interval"])
             cells = tuple(
-                PmfCell(_interval(vid, "cell end", c["cell"]), _number(vid, "mass", c["mass"]))
+                PmfCell(_interval(vid, "cell", c["cell"]), _number(vid, "mass", c["mass"]))
                 for c in row["pmf"]
             )
             cost = _number(vid, "cost", row["cost"])

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .model import Instance, per_instance
 
 EPS = 1e-12
+FEW_HYPEREDGES = 20  # the most hyperedges vc_few_hyperedges enumerates by default
 
 __all__ = [
     "SolverBoundError",
@@ -497,7 +498,7 @@ def vc_few_hyperedges(
     instance: Instance,
     weights: Mapping[str, float] | None = None,
     subset: Iterable[str] | None = None,
-    max_hyperedges: int = 20,
+    max_hyperedges: int = FEW_HYPEREDGES,
 ) -> Cover:
     """Exact minimum cover of the cover graph when hyperedges are few.
 

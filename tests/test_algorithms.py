@@ -28,7 +28,8 @@ from orientlab import (
     sample_realization,
 )
 from orientlab.algorithms import AlgorithmSpec, _auto_strategy, plan_best_vc, plan_threshold
-from orientlab.harness import _BlockSampler
+from orientlab.harness import _sample_weights
+from test_model import realizations
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -183,9 +184,7 @@ class TestThresholdHypergraph:
         rng = np.random.default_rng(4)
         config = ThresholdConfig(alpha=1.0, vc_strategy="few-hyperedges", epsilon=0.1)
         oracle = OfflineOracle(inst)
-        sampler = _BlockSampler(inst, 99)
-        for i in range(1000):
-            r = sampler.realization(i)
+        for r in realizations(inst, _sample_weights(inst, 99, 1000)):
             plan = sampled_plan(inst, config, 0.2, rng)  # a fresh estimate each time
             out = run_fixed_cover(inst, plan.stage1, r)
             # feasibility is asserted inside the runner; check pairing too

@@ -263,7 +263,7 @@ class TestRun:
         def never(*args):
             raise AssertionError("sampled before the plan was checked")
 
-        monkeypatch.setattr(harness, "_BlockSampler", never)
+        monkeypatch.setattr(harness, "_sample_weights", never)
         code, out, err = run_main(
             ["run", "--gen", "fork", "-a", "leaves-first", "--samples", "100"], capsys
         )
@@ -521,6 +521,16 @@ def test_non_utf8_instance_file_exits_2(data, where, tmp_path, capsys):
     assert (code, out, err) == (2, "", f"orientlab: {path}: not UTF-8 text ({where})\n")
 
 
+@pytest.mark.parametrize("opener", ["[", '{"a": '], ids=["arrays", "objects"])
+def test_deeply_nested_instance_file_exits_2(opener, tmp_path, capsys):
+    # json.loads recurses once per level and runs out of stack
+    path = tmp_path / "nested.json"
+    path.write_text(opener * 100_000)
+    code, out, err = run_main(["run", "--instance", str(path), "--samples", "20"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("orientlab: not valid JSON: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("keep_edges", [True, False])
 def test_duplicate_vertex_id_exits_2(keep_edges, tmp_path, capsys):
     """fork with its second vertex renamed to the first one's id: named as
@@ -547,6 +557,13 @@ def test_duplicate_vertex_id_exits_2(keep_edges, tmp_path, capsys):
         ("pmf", [{"cell": [0, "2"], "mass": 1}], 'vertex a: cell end must be a number, got "2"'),
         ("pmf", [{"cell": [0, 2], "mass": "1"}], 'vertex a: mass must be a number, got "1"'),
         ("pmf", [{"cell": [0, 2], "mass": [1]}], "vertex a: mass must be a number, got [1]"),
+        ("interval", [0.0, 2.0, 99], "vertex a: interval must be two numbers, got [0.0, 2.0, 99]"),
+        ("interval", [0], "vertex a: interval must be two numbers, got [0]"),
+        (
+            "pmf",
+            [{"cell": [0.0, 1.0, "junk"], "mass": 1}],
+            'vertex a: cell must be two numbers, got [0.0, 1.0, "junk"]',
+        ),
     ],
 )
 def test_non_numeric_vertex_field_exits_2(field, value, message, tmp_path, capsys):

@@ -43,10 +43,10 @@ from orientlab.algorithms import plan
 from orientlab.harness import (
     BENCHMARKS,
     _alg_costs,
-    _BlockSampler,
     _leaves_first_stage1,
     _PairedBatch,
     _query_sets,
+    _sample_weights,
 )
 from orientlab.mandatory import (
     _edge_state,
@@ -54,7 +54,8 @@ from orientlab.mandatory import (
     feasible_matrix,
     mandatory_matrix,
 )
-from orientlab.model import Realization, weights_from_uniforms
+from orientlab.model import weights_from_uniforms
+from test_model import realizations
 
 N = 150
 SEED = 11
@@ -63,7 +64,7 @@ VC_BOUND = 70  # star-trap and staircase leave big stars when the centre is not 
 
 def _batch(instance, seed, n):
     """The evaluator's batch: realizations 0..n-1 of ``seed``."""
-    weights = _BlockSampler(instance, seed).weights(0, n)
+    weights = _sample_weights(instance, seed, n)
     return _PairedBatch(instance, weights, OfflineOracle(instance, VC_BOUND))
 
 
@@ -116,16 +117,12 @@ def _specs(instance):
 
 @pytest.mark.parametrize("instance", [c for _, c in CASES], ids=IDS)
 def test_kernels_match_scalar_reference(instance):
-    sampler = _BlockSampler(instance, SEED)
-    weights = sampler.weights(0, N)
+    weights = _sample_weights(instance, SEED, N)
     mandatory = mandatory_matrix(instance, weights)
     rng = np.random.default_rng(SEED)
     queried = rng.random(weights.shape) < 0.7
     feasible = feasible_matrix(instance, weights, queried)
-    ids = instance.vertex_ids
-    for i in range(N):
-        r = sampler.realization(i)
-        assert weights[i].tolist() == [r[v] for v in ids]
+    for i, r in enumerate(realizations(instance, weights)):
         assert _members(instance, mandatory[i]) == mandatory_set(instance, r)
         assert feasible[i] == is_feasible(instance, r, _members(instance, queried[i]))
 
@@ -146,9 +143,8 @@ def test_batched_costs_match_scalar_reference(instance):
     the non-covering fixed cover) come from ``completion_matrix``."""
     batch = _batch(instance, SEED, N)
     oracle = OfflineOracle(instance, VC_BOUND)
-    sampler = _BlockSampler(instance, SEED)
-    realizations = [sampler.realization(i) for i in range(N)]
-    optimal = [oracle.opt(r) for r in realizations]
+    scalar = realizations(instance, batch.weights)
+    optimal = [oracle.opt(r) for r in scalar]
     assert batch.opt.tolist() == [cost for _, cost in optimal]
     for spec, adaptive in _specs(instance):
         policy = plan(spec, instance, SEED)
@@ -156,7 +152,7 @@ def test_batched_costs_match_scalar_reference(instance):
         alg = _alg_costs(policy, batch)
         sets, index = _query_sets(policy, batch)
         rows = sets[index]
-        for i, r in enumerate(realizations):
+        for i, r in enumerate(scalar):
             if spec.kind == "offline-opt":
                 queried, cost = optimal[i]
             else:
@@ -180,9 +176,8 @@ def test_leaves_first_matches_scalar_reference():
         alg = _alg_costs(policy, batch)
         sets, index = _query_sets(policy, batch)
         rows = sets[index]
-        sampler = _BlockSampler(instance, SEED)
-        for i in range(N):
-            out = run_leaves_first(instance, sampler.realization(i))
+        for i, r in enumerate(realizations(instance, batch.weights)):
+            out = run_leaves_first(instance, r)
             assert _members(instance, rows[i]) == out.queried, (instance.vertex_ids, i)
             assert alg[i] == out.total_cost, (instance.vertex_ids, i)
 
@@ -244,12 +239,11 @@ def test_completion_matrix_property(family, seed, unit_cost, share):
     rng = np.random.default_rng(seed)
     instance = gen_random(family, rng, unit_cost=unit_cost, **FAMILY_PARAMS[family])
     stage1 = tuple(v for v in instance.vertex_ids if rng.random() < share)
-    sampler = _BlockSampler(instance, seed)
-    weights = sampler.weights(0, 40)
+    weights = _sample_weights(instance, seed, 40)
     start = np.array([[v in stage1 for v in instance.vertex_ids]] * len(weights))
     rows = completion_matrix(instance, weights, start, mandatory_matrix(instance, weights))
-    for i in range(len(weights)):
-        out = run_fixed_cover(instance, stage1, sampler.realization(i))
+    for i, r in enumerate(realizations(instance, weights)):
+        out = run_fixed_cover(instance, stage1, r)
         assert _members(instance, rows[i]) == out.queried, i
 
 
@@ -265,7 +259,7 @@ def test_first_round_covers_cover_graph(family, seed, share):
     row, it covers every edge of the cover graph on every row."""
     rng = np.random.default_rng(seed)
     instance = gen_random(family, rng, **FAMILY_PARAMS[family])
-    weights = _BlockSampler(instance, seed).weights(0, 40)
+    weights = _sample_weights(instance, seed, 40)
     start = rng.random(weights.shape) < share
     first = completion_matrix(instance, weights, start, np.zeros_like(start))
     assert (first >= start).all()
@@ -380,8 +374,7 @@ def _boundary_pool(instance):
     positions, so that every bit position of every block is used."""
     rng = np.random.default_rng(len(instance.vertices))
     weights = _weights_on_ends(instance, rng, POOL)
-    realizations = [Realization(dict(zip(instance.vertex_ids, row))) for row in weights.tolist()]
-    return weights, realizations, rng.integers(0, POOL, max(BOUNDARY_ROWS))
+    return weights, realizations(instance, weights), rng.integers(0, POOL, max(BOUNDARY_ROWS))
 
 
 @pytest.mark.parametrize("instance", [c for _, c in BOUNDARY_CASES], ids=BOUNDARY_IDS)
@@ -390,7 +383,7 @@ def test_completion_matrix_at_bit_boundaries(instance):
     an empty start, a random start per row and a cover of the cover
     graph: with the mandatory rows OR-ed in, every row is the scalar
     run's query set; with none, the scalar first round."""
-    weights, realizations, position = _boundary_pool(instance)
+    weights, scalar, position = _boundary_pool(instance)
     rng = np.random.default_rng(7)
     ids = instance.vertex_ids
     leftmost = {members[0] for members in instance.hyperedges}
@@ -402,7 +395,7 @@ def test_completion_matrix_at_bit_boundaries(instance):
     }
     for label, start in starts.items():
         full, first = [], []
-        for row, r in zip(start, realizations):
+        for row, r in zip(start, scalar):
             stage1 = _members(instance, row)
             full.append(run_fixed_cover(instance, stage1, r).queried)
             first.append(_first_round(instance, stage1, r))
@@ -422,7 +415,7 @@ def test_query_sets_at_bit_boundaries(instance):
     baseline against ``run_adversarial_baseline``, a fixed set that is no
     cover against ``run_fixed_cover`` and, on the single hyperedge,
     leaves-first against ``run_leaves_first``."""
-    weights, realizations, position = _boundary_pool(instance)
+    weights, scalar, position = _boundary_pool(instance)
     a, b = build_cover_graph(instance).edges[0]
     rest = tuple(v for v in instance.vertex_ids if v not in (a, b))
     runs = {
@@ -432,7 +425,7 @@ def test_query_sets_at_bit_boundaries(instance):
     if len(instance.hyperedges) == 1:
         runs[AlgorithmSpec("leaves-first")] = lambda r: run_leaves_first(instance, r)
     expect = {
-        spec: _masks(instance, [run(r).queried for r in realizations]) for spec, run in runs.items()
+        spec: _masks(instance, [run(r).queried for r in scalar]) for spec, run in runs.items()
     }
     oracle = OfflineOracle(instance, VC_BOUND)
     for rows in BOUNDARY_ROWS:
@@ -450,10 +443,7 @@ def _leaves_first_rows(instance, weights):
     """``_leaves_first_stage1`` and ``run_leaves_first`` on every row: the
     stage-1 masks and the scalar runs' stage-1 sets and query sets."""
     stage1 = _leaves_first_stage1(instance, weights)
-    runs = [
-        run_leaves_first(instance, Realization(dict(zip(instance.vertex_ids, row))))
-        for row in weights.tolist()
-    ]
+    runs = [run_leaves_first(instance, r) for r in realizations(instance, weights)]
     return stage1, runs
 
 
@@ -520,9 +510,7 @@ def test_stacked_feasibility_matches_scalar_reference(instance):
     stack = np.stack(stack)
     feasible = feasible_matrix(instance, batch.weights, stack)
     assert feasible.shape == stack.shape[:2]
-    sampler = _BlockSampler(instance, SEED)
-    for i in range(N):
-        r = sampler.realization(i)
+    for i, r in enumerate(realizations(instance, batch.weights)):
         for s, queried in enumerate(stack):
             assert feasible[s, i] == is_feasible(instance, r, _members(instance, queried[i])), (s, i)
     # the last set is feasible everywhere and a random half mostly not

@@ -34,10 +34,10 @@ from orientlab import (
 )
 from orientlab import algorithms, harness, mandatory, model
 from orientlab.algorithms import plan, profiles
-from orientlab.harness import _BlockSampler
+from orientlab.harness import _sample_weights
 from orientlab.model import per_instance
 from test_bootstrap_gather import _BOOT_TAG, _block_sums, _bootstrap_ci, _percentiles
-from test_model import uniform_vertex
+from test_model import realizations, uniform_vertex
 
 
 class TestBenchmarks:
@@ -131,11 +131,10 @@ class TestTwoStage:
     def test_prefix_policy_cost_formula_monte_carlo(self):
         n, k = 8, 3
         inst = gen_benchmark("staircase", n=n)
-        sampler = _BlockSampler(inst, 77)
         draws = 20_000
         total = 0.0
-        for i in range(draws):
-            total += run_two_stage_prefix(inst, k, sampler.realization(i))
+        for r in realizations(inst, _sample_weights(inst, 77, draws)):
+            total += run_two_stage_prefix(inst, k, r)
         expect = n / 2**k + k * (1 - 2**-k)
         sigma = (n - k) * math.sqrt(2**-k * (1 - 2**-k) / draws)
         assert abs(total / draws - expect) <= 4 * sigma
@@ -152,11 +151,10 @@ class TestTwoStage:
         n = 32
         inst = gen_benchmark("staircase", n=n)
         oracle = OfflineOracle(inst, vc_bound=40)
-        sampler = _BlockSampler(inst, 5)
         draws = 4000
         total = 0.0
-        for i in range(draws):
-            total += oracle.opt(sampler.realization(i))[1]
+        for r in realizations(inst, _sample_weights(inst, 5, draws)):
+            total += oracle.opt(r)[1]
         assert abs(total / draws - two_stage_expected_opt(n)) < 0.1
 
 
@@ -493,19 +491,22 @@ class TestEvaluate:
 
     def test_block_sampler_matches_interval_support(self):
         inst = gen_benchmark("fork", eps=0.1)
-        sampler = _BlockSampler(inst, 123)
-        for i in range(500):
-            r = sampler.realization(i)
+        for r in realizations(inst, _sample_weights(inst, 123, 500)):
             r.validate(inst)
 
-    def test_block_sampler_batch_rows_are_realizations(self):
-        inst = gen_random("hypergraph", 2, n=6, m=3, unit_cost=False)
-        sampler = _BlockSampler(inst, 31)
-        weights = sampler.weights(4090, 4100)  # crosses a block boundary
-        assert weights.shape == (10, 6)
-        for row, index in zip(weights, range(4090, 4100)):
-            r = sampler.realization(index)
-            assert row.tolist() == [r[v] for v in inst.vertex_ids]
+    def test_sampled_weights_are_prefixes_across_blocks(self):
+        # realization i is a pure function of (seed, i): a shorter draw is
+        # the first rows of a longer one, also where it cuts a block short
+        for inst, seed in (
+            (gen_random("hypergraph", 2, n=6, m=3, unit_cost=False), 31),
+            (gen_benchmark("fork", eps=0.1), 123),
+        ):
+            longer = _sample_weights(inst, seed, 8193)
+            assert longer.shape == (8193, len(inst.vertices))
+            for count in (1, 7, 4095, 4096, 4097):
+                assert _sample_weights(inst, seed, count).tobytes() == longer[:count].tobytes()
+            rows = _sample_weights(inst, seed, 4100)[4090:]  # crosses a block boundary
+            assert rows.tobytes() == longer[4090:4100].tobytes()
 
     def test_block_sampler_redraws_endpoint_hits(self):
         # one float lies strictly inside (1, 1 + 2 ulp), so most draws land
@@ -513,20 +514,14 @@ class TestEvaluate:
         inside = math.nextafter(1.0, 2.0)
         narrow = uniform_vertex("a", 1.0, math.nextafter(inside, 2.0))
         inst = make_instance([narrow, uniform_vertex("b", 1.0, 3.0)], [["a", "b"]])
-        weights = _BlockSampler(inst, 5).weights(0, 200)
-        assert (weights[:, 0] == inside).all()
-        assert _BlockSampler(inst, 5).realization(7)["a"] == inside
-
-    def test_block_sampler_index_pure(self):
-        inst = gen_benchmark("fork", eps=0.1)
-        a = _BlockSampler(inst, 123)
-        b = _BlockSampler(inst, 123)
-        # access in different orders; index fully determines the draw
-        r1 = a.realization(4100)
-        _ = a.realization(7)
-        r2 = b.realization(7)
-        assert b.realization(4100).weights == r1.weights
-        assert _ .weights == r2.weights
+        for count in (200, 4097):  # a part of one block, and two blocks
+            assert (_sample_weights(inst, 5, count)[:, 0] == inside).all()
+        # with three floats inside, a redrawn weight depends on its stream
+        wider = uniform_vertex("a", 1.0, 1.0 + 4 * math.ulp(1.0))
+        inst = make_instance([wider, uniform_vertex("b", 1.0, 3.0)], [["a", "b"]])
+        weights = _sample_weights(inst, 5, 4097)
+        assert len(set(weights[:, 0].tolist())) == 3
+        assert weights.tobytes() == _block_by_block(inst, 5, 4097).tobytes()
 
 
 class TestBounds:
@@ -544,13 +539,11 @@ class TestBounds:
 
     def test_block_sampler_marginals(self):
         inst = gen_benchmark("fork", eps=0.1)
-        sampler = _BlockSampler(inst, 99)
         draws = 50_000
-        hit_x = hit_y = 0
-        for i in range(draws):
-            r = sampler.realization(i)
-            hit_x += 1.0 < r["x"] < 2.0
-            hit_y += 1.0 < r["y"] < 2.0
+        weights = _sample_weights(inst, 99, draws)
+        x, y = (weights[:, inst.vertex_ids.index(v)] for v in ("x", "y"))
+        hit_x = np.count_nonzero((1.0 < x) & (x < 2.0))
+        hit_y = np.count_nonzero((1.0 < y) & (y < 2.0))
         assert abs(hit_x / draws - 0.5) < 0.01
         assert abs(hit_y / draws - 0.1) < 0.006
 
@@ -644,7 +637,7 @@ def test_kernel_rows_follow_the_member_count():
 
 def _batch(inst, seed, n):
     """The evaluator's batch: realizations 0..n-1 of ``seed``."""
-    weights = _BlockSampler(inst, seed).weights(0, n)
+    weights = _sample_weights(inst, seed, n)
     return harness._PairedBatch(inst, weights, algorithms.OfflineOracle(inst, 24))
 
 
@@ -665,26 +658,37 @@ def test_feasibility_pass_memory_does_not_grow_with_the_samples():
     assert peak < 2 * 2**20
 
 
+def _block_by_block(inst, seed, count):
+    """The evaluator's stream drawn a block at a time: uniforms from Philox
+    keyed [seed, block], endpoint hits redrawn from [seed, block, row, j]."""
+    blocks = []
+    for block, first in enumerate(range(0, count, harness._BLOCK)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+        uniforms = rng.random((min(harness._BLOCK, count - first), 2 * len(inst.vertices)))
+        blocks.append(
+            model.weights_from_uniforms(
+                inst, uniforms, lambda row, j: np.random.default_rng([seed, block, row, j])
+            )
+        )
+    return np.concatenate(blocks)
+
+
 def test_sampled_weights_are_written_into_one_array():
     # 100,000 rows of 2 float64 weights are 1.53 MiB; concatenating a list
     # of row blocks held them twice (a 3.06 MiB peak)
     inst = make_instance(
         [uniform_vertex("a", 0.0, 2.0, 1.5), uniform_vertex("b", 1.0, 3.0)], [("a", "b")]
     )
-    sampler = _BlockSampler(inst, 1)
-    sampler.weights(0, 1000)  # one-off allocations of a first call
+    _sample_weights(inst, 1, 1000)  # one-off allocations of a first call
     tracemalloc.start()
     try:
-        weights = sampler.weights(0, 100_000)
+        weights = _sample_weights(inst, 1, 100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert weights.nbytes == 1_600_000
     assert peak < 1.5 * weights.nbytes
-    block = harness._BLOCK
-    starts = range(0, 100_000, block)
-    rows = [sampler._block_weights(a // block, min(block, 100_000 - a)) for a in starts]
-    assert weights.tobytes() == np.concatenate(rows).tobytes()
+    assert weights.tobytes() == _block_by_block(inst, 1, 100_000).tobytes()
 
 
 def test_completion_memory_does_not_grow_with_the_samples():

@@ -10,6 +10,7 @@ from orientlab import (
     Interval,
     Pmf,
     PmfCell,
+    Realization,
     UncertainVertex,
     elementary_grid,
     gen_benchmark,
@@ -66,6 +67,12 @@ def vertex(vid, lo, hi, cells, cost=1.0):
 
 def uniform_vertex(vid, lo, hi, cost=1.0):
     return vertex(vid, lo, hi, [(lo, hi, 1.0)], cost)
+
+
+def realizations(inst, weights):
+    """One scalar realization per row of a weight matrix, columns in
+    ``vertex_ids`` order: how the evaluator's batch reads its rows."""
+    return [Realization(dict(zip(inst.vertex_ids, row))) for row in weights.tolist()]
 
 
 def successive_draws(inst, seed, count, checked=200):

@@ -31,8 +31,8 @@ from orientlab import (
     vc_exact_small,
 )
 from orientlab import mandatory, vcover
-from orientlab.harness import _BlockSampler, _PairedBatch, evaluate_all
-from test_model import uniform_vertex
+from orientlab.harness import _PairedBatch, _sample_weights, evaluate_all
+from test_model import realizations, uniform_vertex
 
 
 def _reference(instance, mandatory, bound):
@@ -146,12 +146,12 @@ def test_bound_message_and_first_pattern_in_realization_order():
     the reference's message on every failing pattern."""
     varied = 0
     for instance, bound in _bound_cases():
-        sampler, graph = _BlockSampler(instance, 5), build_cover_graph(instance)
+        graph = build_cover_graph(instance)
         oracle = OfflineOracle(instance, bound)
-        weights = sampler.weights(0, 200)
+        weights = _sample_weights(instance, 5, 200)
         messages = []
-        for i in range(200):
-            drawn = mandatory_set(instance, sampler.realization(i))
+        for r in realizations(instance, weights):
+            drawn = mandatory_set(instance, r)
             rest = [v for v in instance.vertex_ids if v not in drawn]
             try:
                 vc_exact_small(graph.induced(rest), bound)

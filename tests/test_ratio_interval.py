@@ -29,7 +29,7 @@ from orientlab import (
     gen_random,
 )
 from orientlab.algorithms import OfflineOracle, plan, profiles, run_fixed_cover
-from orientlab.harness import _BlockSampler, _PairedBatch, _alg_costs, _ratio_ci
+from orientlab.harness import _PairedBatch, _alg_costs, _ratio_ci, _sample_weights
 from test_bootstrap_gather import _bootstrap_ci
 
 SEEDS = range(300)
@@ -61,7 +61,7 @@ def _closed_form_ratio(instance, policy):
 def _samples(instance, policy):
     """(ALG, OPT) cost arrays of the evaluator's batch, one per seed."""
     for seed in SEEDS:
-        weights = _BlockSampler(instance, seed).weights(0, N)
+        weights = _sample_weights(instance, seed, N)
         batch = _PairedBatch(instance, weights, OfflineOracle(instance, 24))
         yield seed, _alg_costs(policy, batch), batch.opt
 

@@ -36,5 +36,13 @@ def test_absent_span_names_are_the_known_ones():
     absent = {name for name, paths in targets.items() if not any(map(_resolves, paths))}
     # eval_chunk went with the process pool, mandatory_set_cells with the
     # cell-assignment kernel: mandatory_matrix on weights replaced it; the
-    # bootstrap went, and the delta-method interval has no layer of its own
-    assert absent == {"harness.bootstrap", "harness.eval_chunk", "mandatory.mandatory_set_cells"}
+    # bootstrap went, and the delta-method interval has no layer of its own;
+    # model.sample wrapped the sampler's per-index realization, which no
+    # evaluation called, and went with it: harness._sample_weights draws
+    # every realization at once
+    assert absent == {
+        "harness.bootstrap",
+        "harness.eval_chunk",
+        "mandatory.mandatory_set_cells",
+        "model.sample",
+    }

@@ -494,19 +494,30 @@ class TestEvaluate:
         for r in realizations(inst, _sample_weights(inst, 123, 500)):
             r.validate(inst)
 
-    def test_sampled_weights_are_prefixes_across_blocks(self):
+    def test_block_sampler_batch_rows_are_realizations(self):
+        # rows across a block boundary are the evaluator's realizations
+        # 4090..4099: the block-by-block stream, each a valid realization
+        inst = gen_random("hypergraph", 2, n=6, m=3, unit_cost=False)
+        rows = _sample_weights(inst, 31, 4100)[4090:]
+        assert rows.shape == (10, 6)
+        assert rows.tobytes() == _block_by_block(inst, 31, 4100)[4090:].tobytes()
+        for r in realizations(inst, rows):
+            r.validate(inst)
+
+    def test_block_sampler_index_pure(self):
         # realization i is a pure function of (seed, i): a shorter draw is
-        # the first rows of a longer one, also where it cuts a block short
+        # the first rows of a longer one, also where it cuts a block short,
+        # whichever is drawn first
         for inst, seed in (
             (gen_random("hypergraph", 2, n=6, m=3, unit_cost=False), 31),
             (gen_benchmark("fork", eps=0.1), 123),
         ):
+            short = _sample_weights(inst, seed, 7)
             longer = _sample_weights(inst, seed, 8193)
             assert longer.shape == (8193, len(inst.vertices))
-            for count in (1, 7, 4095, 4096, 4097):
+            assert short.tobytes() == longer[:7].tobytes()
+            for count in (1, 4095, 4096, 4097, 4100):
                 assert _sample_weights(inst, seed, count).tobytes() == longer[:count].tobytes()
-            rows = _sample_weights(inst, seed, 4100)[4090:]  # crosses a block boundary
-            assert rows.tobytes() == longer[4090:4100].tobytes()
 
     def test_block_sampler_redraws_endpoint_hits(self):
         # one float lies strictly inside (1, 1 + 2 ulp), so most draws land

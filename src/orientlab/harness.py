@@ -666,11 +666,7 @@ class _PairedBatch:
     def __init__(self, instance: Instance, weights: np.ndarray, oracle: OfflineOracle):
         self.instance = instance
         self.weights = weights
-        self.rows = _kernel_rows(instance)
-        blocks = range(0, len(weights), self.rows)
-        mandatory = np.concatenate(
-            [mandatory_matrix(instance, weights[a : a + self.rows]) for a in blocks]
-        )
+        mandatory = mandatory_matrix(instance, weights)
         self.pattern, first = _number_rows(mandatory)  # realization -> pattern
         self.patterns = mandatory[first]  # pattern -> mandatory mask
         optima = [oracle.optimum_bits(bits) for bits in _row_bits(self.patterns)]
@@ -696,8 +692,9 @@ class _PairedBatch:
         :func:`feasible_matrix` call per row block.  Raises the message of
         the first set, in scoring order, that fails somewhere."""
         feasible = np.ones(len(self._scored), dtype=bool)
-        for a in range(0, len(self.weights), self.rows):
-            rows = slice(a, a + self.rows)
+        step = _kernel_rows(self.instance)
+        for a in range(0, len(self.weights), step):
+            rows = slice(a, a + step)
             stack = np.stack([sets[index[rows]] for sets, index, _ in self._scored])
             feasible &= feasible_matrix(self.instance, self.weights[rows], stack).all(axis=1)
         for ok, (_, _, infeasible) in zip(feasible.tolist(), self._scored):

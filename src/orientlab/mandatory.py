@@ -5,12 +5,23 @@ contains it.  The characterization used throughout: v is mandatory iff
 some hyperedge F containing v has either (i) v as its minimum-weight
 vertex with another member's weight inside I_v, or (ii) v not minimum
 while the minimum's weight lies inside I_v.
+
+The batched kernels need a reduced instance, in which every member u of
+a hyperedge F other than its leftmost member l has lo_l <= lo_u < hi_l <
+hi_u, and weights strictly inside their intervals.  With w_F the least
+weight in F, two rules follow (proofs at :func:`mandatory_matrix` and
+:func:`feasible_matrix`):
+
+- u != l is mandatory through F iff lo_u < w_F, and l iff some other
+  member's weight is below hi_l;
+- a query set orients F iff it holds every member u with lo_u < w_F, or
+  it leaves out l and holds every other member, each with weight at or
+  above hi_l.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 import types
 from dataclasses import dataclass
@@ -18,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import Instance, Realization, per_instance, weights_from_uniforms
+from .model import Instance, InstanceError, Realization, per_instance, weights_from_uniforms
 
 __all__ = [
     "MandatoryProfile",
@@ -33,22 +44,10 @@ __all__ = [
     "hoeffding_sample_count",
 ]
 
-# planning's row block: on 5-hyperedge hypergraphs, _kernel_rows blocks
-# (about 2,300 rows) ran 4-13% slower and 512-row blocks about 3x as long
+# planning's row block, which fixes where the planning stream's endpoint
+# redraws fall: on 5-hyperedge hypergraphs, blocks of about 2,300 rows ran
+# 4-13% slower and 512-row blocks about 3x as long
 _PLAN_ROWS = 4096
-# completion row block: each block makes one numpy call per tested column
-# and one Python pass over the visits, on ints as wide as the block.  With
-# completion_matrix alone on the 16-vertex gnp shape (2-core Xeon), 16,384
-# rows ran 11% faster than 4,096 on 10,000 samples, one block against
-# three, and 15-25% slower on 100,000; 8,192 was within noise of 4,096
-_COMPLETION_ROWS = 4096
-
-
-def _kernel_rows(instance: Instance) -> int:
-    """Row block of :func:`mandatory_matrix` and :func:`feasible_matrix`:
-    temporaries grow with sum |e| x rows, fixed costs (about 0.25 ms a
-    call) with the calls.  1 << 15 member-rows, and at least 512 rows."""
-    return max(512, (1 << 15) // max(1, sum(map(len, instance.hyperedges))))
 
 
 @dataclass(frozen=True)
@@ -158,97 +157,163 @@ def _bit_rows(rows: Sequence[int], width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
 
 
-@per_instance
-def _edge_groups(instance: Instance) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Hyperedges grouped by size, member-major, built once per instance.
+def _kernel_rows(instance: Instance) -> int:
+    """Row block of the three kernels below: 4,096 rows, fewer where the
+    member tests (sum |e| x rows booleans) would pass 4 MiB.  Tests and
+    query masks are ints as wide as the block; for the completion on the
+    16-vertex gnp shape (2-core Xeon), 16,384 rows ran 11% faster than
+    4,096 on 10,000 rows and 15-25% slower on 100,000."""
+    return max(1, min(4096, (1 << 22) // max(1, sum(map(len, instance.hyperedges)))))
 
-    Per group: ``cols`` (k x E) holds each hyperedge's member columns in
-    increasing order, which is id order, so the first minimum down a
-    column applies the id tie-break of :func:`mandatory_set`; ``lo`` and
-    ``hi`` (k x E x 1) are the members' interval ends.
+
+def _require_reduced(instance: Instance, name: str) -> None:
+    if not instance.is_reduced():
+        raise InstanceError(f"{name} requires a reduced instance")
+
+
+@per_instance
+def _hyperedge_table(instance: Instance) -> tuple[tuple, tuple, int]:
+    """The hyperedges grouped by size, built once per instance: ``(groups,
+    edges, size)``.
+
+    Per group, ``cols`` (k x E) holds its E hyperedges' member columns in
+    key order, the leftmost member l first; ``lo`` (k-1 x E x 1) the other
+    members' lower ends; ``hi`` (E x 1) hi_l.  The kernels make one test
+    per member, ``size`` = sum |e| tests, group after group, member-major:
+    member p of hyperedge e of a group whose tests start at t is test
+    t + p E + e.  ``edges`` gives each hyperedge, in index order, the
+    (column, test number) of each member in key order.
     """
     column = {vid: j for j, vid in enumerate(instance.vertex_ids)}
-    by_size: dict[int, list[list[int]]] = {}
-    for members in instance.hyperedges:
-        by_size.setdefault(len(members), []).append(sorted(column[u] for u in members))
     lo_all = np.array([v.interval.lo for v in instance.vertices])
     hi_all = np.array([v.interval.hi for v in instance.vertices])
-    groups = []
-    for rows in by_size.values():
+    by_size: dict[int, list[int]] = {}
+    for i, members in enumerate(instance.hyperedges):
+        by_size.setdefault(len(members), []).append(i)
+    groups, edges, size = [], {}, 0
+    for indices in by_size.values():
+        rows = [[column[u] for u in instance.hyperedges[i]] for i in indices]
         cols = np.array(rows, dtype=np.intp).T
-        groups.append(_read_only(cols, lo_all[cols][..., None], hi_all[cols][..., None]))
-    return tuple(groups)
+        groups.append(_read_only(cols, lo_all[cols[1:]][..., None], hi_all[cols[0]][:, None]))
+        for e, (i, members) in enumerate(zip(indices, rows)):
+            edges[i] = tuple((x, size + p * len(indices) + e) for p, x in enumerate(members))
+        size += cols.size
+    return tuple(groups), tuple(edges[i] for i in range(len(edges))), size
 
 
-def _minimum_parts(
-    weights_t: np.ndarray, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """For one size group and transposed weights (n x N): the member
-    weights (k x E x N), a one-hot of each hyperedge's minimum, which
-    other members' intervals hold the minimum weight, and the minimum's
-    interval ends (E x N each)."""
-    sub = weights_t[cols]
-    w_min = sub.min(axis=0)
-    at_min = sub == w_min
-    seen = at_min[0].copy()
-    for p in range(1, len(cols)):  # keep the first of tied minima
-        at_min[p] &= ~seen
-        seen |= at_min[p]
-    # exactly one term of each sum is nonzero
-    lo_m = (at_min * lo).sum(axis=0)
-    hi_m = (at_min * hi).sum(axis=0)
-    holds_min = (lo < w_min) & (w_min < hi) & ~at_min
-    return sub, at_min, holds_min, lo_m, hi_m
+def _member_tests(instance: Instance, weights: np.ndarray) -> list[int]:
+    """The tests of :func:`_hyperedge_table` on the rows of ``weights``,
+    each an int with bit i for row i: for a hyperedge's leftmost member l,
+    "some other member's weight is below hi_l"; for every other member u,
+    "lo_u < w_F", w_F the hyperedge's least weight.  Per size group one
+    gather, one minimum and k comparisons, 2^14 member-rows at a time: a
+    2,000-row gather (1.3 MiB, 16-vertex gnp) cost a fresh process about
+    300 page faults (0.3-0.4 ms) a call."""
+    groups, _, size = _hyperedge_table(instance)
+    held = np.empty((size, len(weights)), dtype=bool)
+    step = max(1, (1 << 14) // max(1, size))
+    for a in range(0, len(weights), step):
+        weights_t = np.ascontiguousarray(weights[a : a + step].T)
+        width = weights_t.shape[1]
+        t = 0
+        for cols, lo, hi in groups:
+            k, e = cols.shape
+            sub = weights_t[cols]
+            rest = sub[1] if k == 2 else sub[1:].min(axis=0)
+            np.less(rest, hi, out=held[t : t + e, a : a + step])
+            # on an edge, lo_u < w_F iff lo_u < w_l, as w_u > lo_u
+            least = sub[0] if k == 2 else np.minimum(sub[0], rest, out=rest)
+            np.less(lo, least, out=held[t + e : t + k * e, a : a + step].reshape(k - 1, e, width))
+            t += k * e
+    return _row_bits(held)
+
+
+def _mandatory_bits(instance: Instance, weights: np.ndarray) -> list[int]:
+    """:func:`mandatory_matrix` of the rows of ``weights`` as one int per
+    column, bit i for row i: the OR of the column's member tests."""
+    _, edges, _ = _hyperedge_table(instance)
+    bits = [0] * len(instance.vertices)
+    step = _kernel_rows(instance)
+    for a in range(0, len(weights), step):
+        tests = _member_tests(instance, weights[a : a + step])
+        for members in edges:
+            for x, t in members:
+                bits[x] |= tests[t] << a
+    return bits
 
 
 def mandatory_matrix(instance: Instance, weights: np.ndarray) -> np.ndarray:
-    """:func:`mandatory_set` of every row of an N x n weight matrix.
+    """:func:`mandatory_set` of every row of an N x n weight matrix, out
+    as an N x n boolean matrix.  The instance must be reduced and every
+    weight must lie strictly inside its interval, as in a
+    :class:`~orientlab.model.Realization`.
 
-    Returns an N x n boolean matrix.  On each hyperedge the minimum is
-    the argmin with the id tie-break; the other members whose interval
-    holds the minimum weight are mandatory, and so is the minimum when
-    some other member's weight lies inside its interval.  Size-2
-    hyperedges need no separate graph rule: on an edge both orders give
-    "v is mandatory iff the other weight lies in I_v".
+    In a reduced hyperedge F, l its leftmost member, every other member u
+    has lo_l <= lo_u < hi_l < hi_u.  Let w_F be F's least weight and m its
+    minimum.  Then u != l is mandatory through F iff lo_u < w_F, and l iff
+    some other member's weight is below hi_l.  Proof, from the module
+    docstring's rule: for u != l, w_F <= w_l < hi_l < hi_u, so "w_m in
+    I_u" reads lo_u < w_F; and u = m != l is mandatory, as w_l lies in
+    [w_m, hi_l), inside I_m, while lo_m < w_m = w_F.  For l = m, "another
+    weight w_u in I_l" reads w_u < hi_l, as w_u > lo_u >= lo_l; for l != m,
+    w_m lies in (lo_m, w_l] within I_l, and w_m < hi_l.
     """
-    weights_t = np.ascontiguousarray(weights.T)
-    out = np.zeros(weights_t.shape, dtype=bool)
-    for cols, lo, hi in _edge_groups(instance):
-        sub, at_min, holds_min, lo_m, hi_m = _minimum_parts(weights_t, cols, lo, hi)
-        min_hit = ((lo_m < sub) & (sub < hi_m) & ~at_min).any(axis=0)
-        hits = (holds_min | (at_min & min_hit)).reshape(-1, weights_t.shape[1])
-        flat = cols.ravel()
-        for j in sorted(set(flat.tolist())):
-            out[j] |= hits[flat == j].any(axis=0)
-    return out.T
+    _require_reduced(instance, "mandatory_matrix")
+    out = np.empty(weights.shape, dtype=bool)
+    step = _kernel_rows(instance)
+    for a in range(0, len(weights), step):
+        block = weights[a : a + step]
+        out[a : a + step] = _bit_rows(_mandatory_bits(instance, block), len(block)).T
+    return out
 
 
 def feasible_matrix(
     instance: Instance, weights: np.ndarray, queried: np.ndarray
 ) -> np.ndarray:
     """:func:`is_feasible` of every row: N x n weights and query masks in,
-    one boolean per realization out.
+    one boolean per realization out.  ``queried`` may also be a stack of
+    S query matrices on the same weights (S x N x n, out S x N): the
+    tests are made once for the whole stack.  The precondition is that of
+    :func:`mandatory_matrix`.
 
-    ``queried`` may also be a stack of S query matrices on the same
-    weights (S x N x n, out S x N): the hyperedge minima are found once
-    for the whole stack.
+    With l, w_F and m as there, a query set Q orients F iff every member
+    u with lo_u < w_F is in Q (l among them, as lo_l <= lo_m < w_F), or l
+    is not in Q and every other member is, each with weight >= hi_l.
+    Proof, from :func:`is_feasible`: with m in Q, an unqueried u != m
+    needs w_m outside I_u, and w_m < hi_u for u != l while lo_l < w_m <
+    hi_l, so every unqueried member has lo_u >= w_F, and m itself has
+    lo_m < w_F.  With m not in Q, every member overlapping I_m must be
+    queried with weight >= hi_m; l overlaps I_m and w_l < hi_l < hi_m if
+    m != l, so m = l, and every other member overlaps I_l.  Weights all
+    at or above hi_l > w_l make l the minimum.  Neither case depends on
+    which of tied minima is m.  Per block and query set this is an int
+    &, | per member on :func:`_member_tests`: the first case needs q_u or
+    not lo_u < w_F for each u != l, the second q_u for each u != l and
+    not the test of l.
     """
-    weights_t = np.ascontiguousarray(weights.T)
+    _require_reduced(instance, "feasible_matrix")
+    _, edges, _ = _hyperedge_table(instance)
     stack = queried.reshape(-1, *queried.shape[-2:])
-    queried_t = np.ascontiguousarray(stack.transpose(2, 0, 1))  # n x S x N
-    bad = np.zeros(stack.shape[:2], dtype=bool)
-    for cols, lo, hi in _edge_groups(instance):
-        sub, at_min, holds_min, lo_m, hi_m = _minimum_parts(weights_t, cols, lo, hi)
-        q = queried_t[cols]  # k x E x S x N; the weight parts get an S axis
-        min_queried = (q & at_min[:, :, None]).any(axis=0)
-        # minimum queried: so is every member whose interval holds its weight
-        bad |= (min_queried & (holds_min[:, :, None] & ~q).any(axis=0)).any(axis=0)
-        # minimum unqueried: every member overlapping its interval is
-        # queried at or beyond the interval's right end
-        rivals = (np.maximum(lo, lo_m) < np.minimum(hi, hi_m)) & ~at_min
-        short = (rivals[:, :, None] & (~q | (sub < hi_m)[:, :, None])).any(axis=0)
-        bad |= (~min_queried & short).any(axis=0)
-    return ~bad.reshape(queried.shape[:-1])
+    out = np.empty(stack.shape[:2], dtype=bool)
+    step = _kernel_rows(instance)
+    for a in range(0, len(weights), step):
+        block = stack[:, a : a + step]
+        width = block.shape[1]
+        misses = [~t for t in _member_tests(instance, weights[a : a + step])]
+        masks = _row_bits(block.transpose(0, 2, 1).reshape(-1, width))
+        oriented = []
+        for s in range(0, len(masks), stack.shape[2]):
+            q = masks[s : s + stack.shape[2]]
+            ok = (1 << width) - 1
+            for (l, t), *rest in edges:
+                first, second = q[l], ~q[l] & misses[t]
+                for x, t in rest:
+                    first &= q[x] | misses[t]
+                    second &= q[x]
+                ok &= first | second
+            oriented.append(ok)
+        out[:, a : a + step] = _bit_rows(oriented, width)
+    return out.reshape(queried.shape[:-1])
 
 
 def _edge_state(
@@ -288,78 +353,29 @@ def _edge_state(
     return ("open", min(candidates, key=lambda u: by_id[u].key))
 
 
-@per_instance
-def _completion_table(instance: Instance) -> tuple[tuple, tuple]:
-    """The comparisons and the visits of :func:`completion_matrix`, built
-    once per instance: ``(tests, visits)``.
-
-    ``tests`` has one entry ``(x, ends)`` per tested column x, in column
-    order, ``ends`` a read-only (m x 1) array: w_x is tested with w_x >=
-    t against each t, which is a right end hi_l for the test w_x >= hi_l,
-    or the float after a left end lo_u for the test w_x > lo_u.  Test
-    number i is the i-th of these rows in entry order.
-
-    ``visits`` has one entry ``(l, others, picks)`` per hyperedge, in
-    index order: l is its leftmost column; ``others`` pairs each other
-    member x, in key order, with the number of its test w_x >= hi_l;
-    ``picks`` gives each other member u, in key order, its column and the
-    pairs (x, number of the test w_x > lo_u) of the members x with lo_x <
-    lo_u, which leaves out u."""
-    by_id = instance.by_id
-    column = {vid: j for j, vid in enumerate(instance.vertex_ids)}
-    lo = {vid: v.interval.lo for vid, v in by_id.items()}
-    above = {vid: math.nextafter(end, math.inf) for vid, end in lo.items()}
-    edges, tested = [], set()
-    for l, *rest in instance.hyperedges:
-        others = [(column[x], by_id[l].interval.hi) for x in rest]
-        # lo_u < w_x holds when lo_u <= lo_x, as lo_x < w_x
-        picks = [
-            (column[u], [(column[x], above[u]) for x in (l, *rest) if lo[x] < lo[u]])
-            for u in rest
-        ]
-        edges.append((column[l], others, picks))
-        tested.update(others, *(terms for _, terms in picks))
-    order = sorted(tested)  # each column's tests in one run
-    number = {key: i for i, key in enumerate(order)}
-    tests = tuple(
-        (x, *_read_only(np.array([end for _, end in run])[:, None]))
-        for x, run in itertools.groupby(order, key=lambda key: key[0])
-    )
-
-    def numbered(pairs: list[tuple[int, float]]) -> tuple[tuple[int, int], ...]:
-        return tuple((x, number[x, end]) for x, end in pairs)
-
-    visits = tuple(
-        (l, numbered(others), tuple((u, numbered(terms)) for u, terms in picks))
-        for l, others, picks in edges
-    )
-    return tests, visits
-
-
 def completion_matrix(
     instance: Instance, weights: np.ndarray, queried: np.ndarray, mandatory: np.ndarray
 ) -> np.ndarray:
     """The adaptive completion of every row of a reduced instance: N x n
     weights, the query masks it starts from and the mandatory masks
-    (:func:`mandatory_matrix`) in, the final query masks out.  Every
-    weight must lie strictly inside its interval, as in a
-    :class:`~orientlab.model.Realization`: :func:`weights_from_uniforms`
-    redraws a weight that lands on an interval end.
+    (:func:`mandatory_matrix`) in, the final query masks out, with the
+    precondition of :func:`mandatory_matrix`.
 
     ``algorithms._mandatory_completion`` visits the unsolved hyperedges in
     rounds, each in index order.  If its first round from a set S queries
     R1, the whole run queries R1 | M, M the mandatory set.  So here each
     hyperedge gets one visit, in index order on all rows, and M is OR-ed
-    in.  Below, l is a hyperedge's leftmost member, m its minimum and w*
-    its least revealed weight (inf when none is revealed).
+    in.  Below, l is a hyperedge's leftmost member, m its minimum, w_F its
+    least weight and w* its least revealed weight (inf when none is
+    revealed).
 
     A visit is :func:`_edge_state`, which on a reduced instance, where
     every u != l has lo_l <= lo_u < hi_l < hi_u, is a two-case rule:
 
     - l unqueried: query l, unless every other member is queried and
       hi_l <= w*;
-    - l queried: query the first unqueried member u, in key order, with
-      lo_u < w*, or nothing if there is none.
+    - l queried: query u*, the first unqueried member in key order, if
+      lo_u* < w_F, and nothing otherwise.
 
     A revealed w_x has lo_l <= lo_x < w_x, so an unqueried l is the first
     candidate of :func:`_edge_state`: "open" queries l, "no candidate"
@@ -367,7 +383,10 @@ def completion_matrix(
     <= lo_x < hi_x, and "certain l" needs hi_l <= w* and hi_l <= lo_u for
     every other unqueried u, that is, no other unqueried u.  With l
     queried, w* <= w_l < hi_l, so a certain x would need hi_x <= w* <
-    hi_l < hi_x: the first candidate is the pick.
+    hi_l < hi_x: the first candidate, if any, is the pick.  A candidate
+    after u* has lo_u >= lo_u*, so there is one iff lo_u* < w*; and that
+    is lo_u* < w_F, as every member before u* is revealed and every
+    member x from u* on has w_x > lo_x >= lo_u*.
 
     R1 covers the cover graph (edges from l to the members overlapping
     I_l): each visit leaves l queried or every other member queried, and
@@ -382,48 +401,29 @@ def completion_matrix(
     (lo_v <= lo_m < w_m).  The run ends on a feasible set, which holds M,
     so from R1 it adds exactly the mandatory vertices outside R1.
 
-    Since w* is the least revealed weight, w* >= t iff every member x is
-    unqueried or has w_x >= t, and w* > t likewise; with nothing revealed
-    both hold, as w* = inf.  So a visit needs no w*, only the comparisons
-    w_x >= hi_l for x != l (the rule tests hi_l <= w* only with l
-    unqueried) and w_x > lo_u, made as w_x >= the float after lo_u
-    (:func:`_completion_table`).  Two more are fixed because every weight
-    lies strictly inside its interval, and neither is made: hi_l <= w_l
-    never holds, and lo_u < w_x always holds when lo_u <= lo_x.  Per
-    block of ``_COMPLETION_ROWS`` rows the comparisons are made first,
-    one numpy call per tested column; each test and each column's query
-    mask becomes an int with bit i for row i (:func:`_row_bits`), and a
-    visit is a few int &, | and ^: with l queried, u is picked on the
-    rows still without a pick where u is unqueried and every other x is
-    unqueried or has w_x > lo_u; an unqueried l stays unqueried on the
-    rows where every other x is queried with w_x >= hi_l.
+    So a visit needs only :func:`_member_tests`: with every other member
+    queried, hi_l <= w* iff l's test fails, and lo_u < w_F is u's test.
+    Per block, with each test and query mask an int (bit i for row i), u
+    is picked where l and every member before u are queried and u's test
+    holds; an unqueried l stays so where every other member is queried
+    and l's test fails.
     """
-    tests, visits = _completion_table(instance)
+    _require_reduced(instance, "completion_matrix")
+    _, edges, _ = _hyperedge_table(instance)
     out = np.empty(weights.shape, dtype=bool)
-    size = sum(len(ends) for _, ends in tests)
-    for a in range(0, len(weights), _COMPLETION_ROWS):
-        rows = slice(a, a + _COMPLETION_ROWS)
-        weights_t = np.ascontiguousarray(weights[rows].T)
-        width = weights_t.shape[1]
-        held = np.empty((size, width), dtype=bool)
-        t = 0
-        for x, ends in tests:
-            np.greater_equal(weights_t[x], ends, out=held[t : t + len(ends)])
-            t += len(ends)
-        bits = _row_bits(held)
+    step = _kernel_rows(instance)
+    for a in range(0, len(weights), step):
+        rows = slice(a, a + step)
+        tests = _member_tests(instance, weights[rows])
         q = _row_bits(queried[rows].T)
+        width = len(weights[rows])
         full = (1 << width) - 1
-        for l, others, picks in visits:
-            looking = q[l]  # l queried, no pick yet
-            for u, terms in picks:
-                pick = looking & ~q[u]
-                for x, test in terms:
-                    pick &= ~q[x] | bits[test]
-                q[u] |= pick
-                looking ^= pick
-            keep = full & ~q[l]  # l unqueried and stays so
-            for x, test in others:
-                keep &= q[x] & bits[test]
+        for (l, t), *rest in edges:
+            looking = q[l]  # l and every member so far queried
+            keep = full & ~(q[l] | tests[t])  # l unqueried and stays so
+            for x, t in rest:
+                looking, q[x] = looking & q[x], q[x] | looking & tests[t]
+                keep &= q[x]
             q[l] = full ^ keep
         np.bitwise_or(_bit_rows(q, width).T, mandatory[rows], out=out[rows])
     return out
@@ -468,13 +468,14 @@ def _sample_mandatory_counts(
     draw of ``max(stops)`` realizations, for each k in ``stops``.
 
     Each row block is :func:`weights_from_uniforms` of
-    ``rng.random((rows, 2n))`` through :func:`mandatory_matrix`; the
-    blocks' draws concatenate to one ``rng.random((count, 2n))``, and
-    memory does not grow with the count.  The first k rows are those of
-    a draw of k realizations alone, since ``rng.random`` fills rows in
-    order, unless an endpoint redraw, which takes from ``rng`` after the
-    block's uniforms, falls in the first k rows of a block that k cuts
-    short: that k gets None.
+    ``rng.random((rows, 2n))`` through :func:`_mandatory_bits`, whose
+    per-vertex row bits are counted with ``int.bit_count``; the blocks'
+    draws concatenate to one ``rng.random((count, 2n))``, and memory does
+    not grow with the count.  The first k rows are those of a draw of k
+    realizations alone, since ``rng.random`` fills rows in order, unless
+    an endpoint redraw, which takes from ``rng`` after the block's
+    uniforms, falls in the first k rows of a block that k cuts short:
+    that k gets None.
     """
     counts: list[np.ndarray | None] = [None] * len(stops)
     total = np.zeros(len(instance.vertices), dtype=np.int64)
@@ -490,11 +491,12 @@ def _sample_mandatory_counts(
         redrawn.clear()
         # the uniforms are freed before the kernel runs
         weights = weights_from_uniforms(instance, rng.random(shape), redraw)
-        mandatory = mandatory_matrix(instance, weights)
+        bits = _mandatory_bits(instance, weights)
         for i, k in enumerate(stops):
             if k == a + shape[0] or (a < k < a + shape[0] and min(redrawn, default=k) >= k - a):
-                counts[i] = total + mandatory[: k - a].sum(axis=0)
-        total += mandatory.sum(axis=0)
+                head = (1 << (k - a)) - 1
+                counts[i] = total + [(b & head).bit_count() for b in bits]
+        total += [b.bit_count() for b in bits]
     return counts
 
 
@@ -515,6 +517,7 @@ def estimate_profiles(
     from a copy of the starting state.  ``rng`` ends after the largest
     request's draw.
     """
+    _require_reduced(instance, "estimate_profiles")
     stops = [hoeffding_sample_count(epsilon, delta) for epsilon, delta in requests]
     start = copy.deepcopy(rng)
     counts = _sample_mandatory_counts(instance, stops, rng)

@@ -624,7 +624,8 @@ _BLOCK_CASES = [
 def test_reports_do_not_depend_on_kernel_row_blocks(monkeypatch, case, rows):
     inst, specs = _BLOCK_CASES[case]
     expect = harness.evaluate_all(inst, specs, 300, 41)
-    monkeypatch.setattr(harness, "_kernel_rows", lambda instance: rows)
+    for module in (mandatory, harness):  # the kernels' blocks and the check's
+        monkeypatch.setattr(module, "_kernel_rows", lambda instance: rows)
     got = harness.evaluate_all(inst, specs, 300, 41)
     assert [replace(r, wall_ms=0) for r in got] == [replace(r, wall_ms=0) for r in expect]
 
@@ -633,17 +634,18 @@ def test_kernel_rows_follow_the_member_count():
     for seed in range(5):
         rng = np.random.default_rng([81, seed])
         graph = gen_random("gnp", rng, n=16, p=0.3, unit_cost=False)  # graph-paired shape
-        assert 2 * len(graph.hyperedges) > 64
-        assert harness._kernel_rows(graph) == 512
         hyper = gen_random("hypergraph", rng, n=12, m=5, max_size=4, unit_cost=False)
-        members = sum(map(len, hyper.hyperedges))
-        assert harness._kernel_rows(hyper) == max(512, 32768 // members)
-    hyper_paired = gen_random("hypergraph", 11, n=12, m=5, max_size=4, unit_cost=False)
-    assert harness._kernel_rows(hyper_paired) >= 2048
+        # the benchmarks' 2,000 and 4,000 rows are one block
+        assert mandatory._kernel_rows(graph) == mandatory._kernel_rows(hyper) == 4096
     one_edge = make_instance(
         [uniform_vertex("a", 0.0, 2.0), uniform_vertex("b", 1.0, 3.0)], [("a", "b")]
     )
-    assert harness._kernel_rows(one_edge) == 16384
+    assert mandatory._kernel_rows(one_edge) == 4096
+    # at most 2^22 member tests (4 MiB) a block
+    assert mandatory._kernel_rows(gen_benchmark("staircase", n=1024)) == 4096
+    assert mandatory._kernel_rows(gen_benchmark("staircase", n=4096)) == 1024
+    assert mandatory._kernel_rows(make_instance([uniform_vertex("a", 0.0, 1.0)], [])) == 4096
+    assert harness._kernel_rows is mandatory._kernel_rows
 
 
 def _batch(inst, seed, n):

@@ -1,8 +1,8 @@
 """Tables built once per instance, and the layout of the weight map.
 
-The kernels' hyperedge tables (``mandatory._edge_groups``,
-``mandatory._completion_table``), the exact mandatory profile and the
-cost-weighted cover graph are functions of the immutable instance: each
+The kernels' hyperedge table (``mandatory._hyperedge_table``), the
+exact mandatory profile and the cost-weighted cover graph are functions
+of the immutable instance: each
 is built on first use, kept on the instance and shared, read-only, by
 every later call; ``TABLES`` names every such table.  The weight map
 writes its weights vertex-major and returns them transposed; its values
@@ -27,8 +27,7 @@ from orientlab.mandatory import mandatory_matrix
 from orientlab.model import Instance, per_instance, weights_from_uniforms
 
 TABLES = [
-    (mandatory, "_edge_groups"),
-    (mandatory, "_completion_table"),
+    (mandatory, "_hyperedge_table"),
     (mandatory, "exact_prob_graph"),
     (vcover, "_cost_cover_graph"),
 ]

@@ -82,28 +82,23 @@ def _corpus():
 CORPUS = _corpus()
 
 
-def _expected(instance, weights, stack):
-    """The scalar mandatory masks of the rows, and :func:`is_feasible` of
-    every set of the stack on every row (S x N)."""
+def _scalar(instance, weights, rng):
+    """The scalar mandatory masks of the rows, a stack of query masks
+    (random at each share, then the mandatory sets) and
+    :func:`is_feasible` of every set of the stack on every row (S x N)."""
     scalar = realizations(instance, weights)
     ids = instance.vertex_ids
-    mandatory = np.array([[v in mandatory_set(instance, r) for v in ids] for r in scalar])
-    feasible = np.array(
-        [[is_feasible(instance, r, _members(instance, q)) for r, q in zip(scalar, qs)] for qs in stack]
-    )
-    return mandatory.reshape(weights.shape), feasible.reshape(stack.shape[:2])
-
-
-def _stack(rng, mandatory):
-    """Random query masks at each share, and the mandatory sets."""
-    masks = [rng.random(mandatory.shape) < share for share in SHARES]
-    return np.stack(masks + [mandatory])
+    rows = [[v in mandatory_set(instance, r) for v in ids] for r in scalar]
+    mandatory = np.array(rows, dtype=bool).reshape(weights.shape)
+    stack = np.stack([rng.random(weights.shape) < share for share in SHARES] + [mandatory])
+    feasible = [
+        [is_feasible(instance, r, _members(instance, q)) for r, q in zip(scalar, qs)] for qs in stack
+    ]
+    return mandatory, stack, np.array(feasible, dtype=bool).reshape(stack.shape[:2])
 
 
 def _assert_kernels_match(instance, weights, rng):
-    expect_mandatory = _expected(instance, weights, np.empty((0, *weights.shape)))[0]
-    stack = _stack(rng, expect_mandatory)
-    _, expect_feasible = _expected(instance, weights, stack)
+    expect_mandatory, stack, expect_feasible = _scalar(instance, weights, rng)
     mandatory = mandatory_matrix(instance, weights)
     wrong = np.flatnonzero((mandatory != expect_mandatory).any(axis=1))
     assert wrong.size == 0, ("mandatory", wrong[:5])
@@ -169,10 +164,7 @@ def test_kernels_at_bit_boundaries(instance):
     """Row counts around bytes, words and the 4,096-row block, drawn from
     a pool of realizations that the scalar rules decide once."""
     weights, _, position = _boundary_pool(instance)
-    rng = np.random.default_rng(9)
-    expect_mandatory = _expected(instance, weights, np.empty((0, *weights.shape)))[0]
-    stack = _stack(rng, expect_mandatory)
-    _, expect_feasible = _expected(instance, weights, stack)
+    expect_mandatory, stack, expect_feasible = _scalar(instance, weights, np.random.default_rng(9))
     for rows in BLOCK_ROWS:
         at = position[:rows]
         assert np.array_equal(mandatory_matrix(instance, weights[at]), expect_mandatory[at]), rows

@@ -9,14 +9,11 @@ while the minimum's weight lies inside I_v.
 The batched kernels need a reduced instance, in which every member u of
 a hyperedge F other than its leftmost member l has lo_l <= lo_u < hi_l <
 hi_u, and weights strictly inside their intervals.  With w_F the least
-weight in F, two rules follow (proofs at :func:`mandatory_matrix` and
-:func:`feasible_matrix`):
-
-- u != l is mandatory through F iff lo_u < w_F, and l iff some other
-  member's weight is below hi_l;
-- a query set orients F iff it holds every member u with lo_u < w_F, or
-  it leaves out l and holds every other member, each with weight at or
-  above hi_l.
+weight in F, u != l is mandatory through F iff lo_u < w_F, and l iff
+some other member's weight is below hi_l; a query set orients F iff it
+holds every member u with lo_u < w_F, or it leaves out l and holds every
+other member, each with weight at or above hi_l (proofs at
+:func:`mandatory_matrix` and :func:`feasible_matrix`).
 """
 
 from __future__ import annotations
@@ -158,11 +155,9 @@ def _bit_rows(rows: Sequence[int], width: int) -> np.ndarray:
 
 
 def _kernel_rows(instance: Instance) -> int:
-    """Row block of the three kernels below: 4,096 rows, fewer where the
-    member tests (sum |e| x rows booleans) would pass 4 MiB.  Tests and
-    query masks are ints as wide as the block; for the completion on the
-    16-vertex gnp shape (2-core Xeon), 16,384 rows ran 11% faster than
-    4,096 on 10,000 rows and 15-25% slower on 100,000."""
+    """Row block of the member tests: 4,096 rows, fewer where they (sum |e|
+    x rows booleans) would pass 4 MiB.  Tests and query masks are ints as
+    wide as the block; 16,384 rows ran the completion 15-25% slower."""
     return max(1, min(4096, (1 << 22) // max(1, sum(map(len, instance.hyperedges)))))
 
 
@@ -228,17 +223,21 @@ def _member_tests(instance: Instance, weights: np.ndarray) -> list[int]:
     return _row_bits(held)
 
 
-def _mandatory_bits(instance: Instance, weights: np.ndarray) -> list[int]:
-    """:func:`mandatory_matrix` of the rows of ``weights`` as one int per
-    column, bit i for row i: the OR of the column's member tests."""
+def _block_tests(instance: Instance, weights: np.ndarray) -> list[list[int]]:
+    """:func:`_member_tests` of each :func:`_kernel_rows` block of rows."""
+    step = _kernel_rows(instance)
+    return [_member_tests(instance, weights[a : a + step]) for a in range(0, len(weights), step)]
+
+
+def _mandatory_bits(instance: Instance, tests: Sequence[list[int]]) -> list[int]:
+    """:func:`mandatory_matrix` from :func:`_block_tests`, one int per column (bit i for row i)."""
     _, edges, _ = _hyperedge_table(instance)
     bits = [0] * len(instance.vertices)
     step = _kernel_rows(instance)
-    for a in range(0, len(weights), step):
-        tests = _member_tests(instance, weights[a : a + step])
+    for b, block in enumerate(tests):
         for members in edges:
             for x, t in members:
-                bits[x] |= tests[t] << a
+                bits[x] |= block[t] << b * step
     return bits
 
 
@@ -259,12 +258,7 @@ def mandatory_matrix(instance: Instance, weights: np.ndarray) -> np.ndarray:
     w_m lies in (lo_m, w_l] within I_l, and w_m < hi_l.
     """
     _require_reduced(instance, "mandatory_matrix")
-    out = np.empty(weights.shape, dtype=bool)
-    step = _kernel_rows(instance)
-    for a in range(0, len(weights), step):
-        block = weights[a : a + step]
-        out[a : a + step] = _bit_rows(_mandatory_bits(instance, block), len(block)).T
-    return out
+    return _bit_rows(_mandatory_bits(instance, _block_tests(instance, weights)), len(weights)).T
 
 
 def feasible_matrix(
@@ -354,12 +348,12 @@ def _edge_state(
 
 
 def completion_matrix(
-    instance: Instance, weights: np.ndarray, queried: np.ndarray, mandatory: np.ndarray
+    instance: Instance, tests: Sequence[list[int]], queried: np.ndarray, mandatory: np.ndarray
 ) -> np.ndarray:
-    """The adaptive completion of every row of a reduced instance: N x n
-    weights, the query masks it starts from and the mandatory masks
-    (:func:`mandatory_matrix`) in, the final query masks out, with the
-    precondition of :func:`mandatory_matrix`.
+    """The adaptive completion of every row of a reduced instance: the
+    :func:`_block_tests` of N rows of weights as :func:`mandatory_matrix`
+    takes them (the paired batch's, made once), the start query masks and
+    the mandatory masks in, the final query masks out.
 
     ``algorithms._mandatory_completion`` visits the unsolved hyperedges in
     rounds, each in index order.  If its first round from a set S queries
@@ -410,19 +404,18 @@ def completion_matrix(
     """
     _require_reduced(instance, "completion_matrix")
     _, edges, _ = _hyperedge_table(instance)
-    out = np.empty(weights.shape, dtype=bool)
+    out = np.empty(queried.shape, dtype=bool)
     step = _kernel_rows(instance)
-    for a in range(0, len(weights), step):
+    for a, block in zip(range(0, len(queried), step), tests):
         rows = slice(a, a + step)
-        tests = _member_tests(instance, weights[rows])
         q = _row_bits(queried[rows].T)
-        width = len(weights[rows])
+        width = len(queried[rows])
         full = (1 << width) - 1
         for (l, t), *rest in edges:
             looking = q[l]  # l and every member so far queried
-            keep = full & ~(q[l] | tests[t])  # l unqueried and stays so
+            keep = full & ~(q[l] | block[t])  # l unqueried and stays so
             for x, t in rest:
-                looking, q[x] = looking & q[x], q[x] | looking & tests[t]
+                looking, q[x] = looking & q[x], q[x] | looking & block[t]
                 keep &= q[x]
             q[l] = full ^ keep
         np.bitwise_or(_bit_rows(q, width).T, mandatory[rows], out=out[rows])
@@ -491,7 +484,7 @@ def _sample_mandatory_counts(
         redrawn.clear()
         # the uniforms are freed before the kernel runs
         weights = weights_from_uniforms(instance, rng.random(shape), redraw)
-        bits = _mandatory_bits(instance, weights)
+        bits = _mandatory_bits(instance, _block_tests(instance, weights))
         for i, k in enumerate(stops):
             if k == a + shape[0] or (a < k < a + shape[0] and min(redrawn, default=k) >= k - a):
                 head = (1 << (k - a)) - 1

@@ -49,6 +49,7 @@ from orientlab.harness import (
     _sample_weights,
 )
 from orientlab.mandatory import (
+    _block_tests,
     _edge_state,
     completion_matrix,
     feasible_matrix,
@@ -241,7 +242,8 @@ def test_completion_matrix_property(family, seed, unit_cost, share):
     stage1 = tuple(v for v in instance.vertex_ids if rng.random() < share)
     weights = _sample_weights(instance, seed, 40)
     start = np.array([[v in stage1 for v in instance.vertex_ids]] * len(weights))
-    rows = completion_matrix(instance, weights, start, mandatory_matrix(instance, weights))
+    tests = _block_tests(instance, weights)
+    rows = completion_matrix(instance, tests, start, mandatory_matrix(instance, weights))
     for i, r in enumerate(realizations(instance, weights)):
         out = run_fixed_cover(instance, stage1, r)
         assert _members(instance, rows[i]) == out.queried, i
@@ -261,7 +263,7 @@ def test_first_round_covers_cover_graph(family, seed, share):
     instance = gen_random(family, rng, **FAMILY_PARAMS[family])
     weights = _sample_weights(instance, seed, 40)
     start = rng.random(weights.shape) < share
-    first = completion_matrix(instance, weights, start, np.zeros_like(start))
+    first = completion_matrix(instance, _block_tests(instance, weights), start, np.zeros_like(start))
     assert (first >= start).all()
     column = {v: j for j, v in enumerate(instance.vertex_ids)}
     for a, b in build_cover_graph(instance).edges:
@@ -314,7 +316,7 @@ def test_completion_visit_matches_edge_state(k):
         weights = _quarter_weights(instance, rng, rows)
         start = rng.random(weights.shape) < rng.random()
         start[0], start[1] = True, False
-        out = completion_matrix(instance, weights, start, np.zeros_like(start))
+        out = completion_matrix(instance, _block_tests(instance, weights), start, np.zeros_like(start))
         for r in range(rows):
             revealed = {u: w for u, w, q in zip(instance.vertex_ids, weights[r], start[r]) if q}
             status, vid = _edge_state(instance, members, revealed)
@@ -403,8 +405,9 @@ def test_completion_matrix_at_bit_boundaries(instance):
         for rows in BOUNDARY_ROWS:
             at = position[:rows]
             mandatory = mandatory_matrix(instance, weights[at])
+            tests = _block_tests(instance, weights[at])
             for m, expect in ((mandatory, full), (np.zeros_like(mandatory), first)):
-                out = completion_matrix(instance, weights[at], start[at], m)
+                out = completion_matrix(instance, tests, start[at], m)
                 wrong = np.flatnonzero((out != expect[at]).any(axis=1))
                 assert wrong.size == 0, (label, rows, m is mandatory, wrong[:5])
 

@@ -580,13 +580,15 @@ def _assert_numbered_like_reference(masks):
     assert first == expect_first
 
 
-@pytest.mark.parametrize("rows", [1, 2, 400, 4097])
-@pytest.mark.parametrize("columns", [1, 8, 12, 64, 65, 130])
+@pytest.mark.parametrize("rows", [1, 2, 400, 4096, 4097])
+@pytest.mark.parametrize("columns", [1, 8, 12, 16, 64, 65, 130, 1024])
 def test_number_rows_matches_dict_numbering(columns, rows):
     rng = np.random.default_rng([columns, rows])
     # few set bits, so that rows repeat; with many columns most are distinct
     for density in (0.02, 0.2, 0.5):
         _assert_numbered_like_reference(rng.random((rows, columns)) < density)
+    # the paired batch numbers a transposed view of its mandatory columns
+    _assert_numbered_like_reference(np.asfortranarray(rng.random((rows, columns)) < 0.2))
     _assert_numbered_like_reference(np.broadcast_to(rng.random(columns) < 0.5, (rows, columns)))
 
 
@@ -722,7 +724,7 @@ def test_completion_memory_does_not_grow_with_the_samples():
     assert peak < 6 * 2**20
     start = np.zeros(batch.weights.shape, dtype=bool)
     mandatory_rows = batch.patterns[batch.pattern]
-    one_call = mandatory.completion_matrix(inst, batch.weights, start, mandatory_rows)
+    one_call = mandatory.completion_matrix(inst, batch.tests, start, mandatory_rows)
     assert np.array_equal(sets[index], one_call)
 
 

@@ -8,7 +8,8 @@ every later call; ``TABLES`` names every such table.  The weight map
 writes its weights vertex-major and returns them transposed; its values
 and its redraw order must be those of the row-major map kept here as the
 reference.  The instance's own constants (``vertex_ids``, the pmf
-table's cumulative masses, reducedness) are computed once as well.
+table's cumulative masses, reducedness) are computed once as well, and
+a paired batch makes its member tests once per row block.
 """
 
 import collections
@@ -22,7 +23,8 @@ import pytest
 import orientlab
 from orientlab import AlgorithmSpec, CoverGraph, build_cover_graph, gen_benchmark, gen_random
 from orientlab import harness, mandatory, vcover
-from orientlab.harness import evaluate_all
+from orientlab.algorithms import OfflineOracle, plan
+from orientlab.harness import _alg_costs, _PairedBatch, _sample_weights, evaluate_all
 from orientlab.mandatory import mandatory_matrix
 from orientlab.model import Instance, per_instance, weights_from_uniforms
 
@@ -103,6 +105,49 @@ def test_each_table_is_built_once_per_instance(monkeypatch, instance, specs):
     second = evaluate_all(instance, specs, 3000, 11)
     assert builds == expect  # kept on the instance
     assert [r.ci95_ratio for r in first] == [r.ci95_ratio for r in second]
+
+
+@pytest.mark.parametrize("rows_per_block", [700, None])
+@pytest.mark.parametrize(
+    "instance, specs",
+    [
+        (
+            gen_random("gnp", 5, n=16, p=0.3, unit_cost=False),
+            [AlgorithmSpec("baseline"), AlgorithmSpec("fixed-cover", cover=("v00",))],
+        ),
+        (
+            gen_random("hypergraph", 2, n=12, m=5, max_size=4, unit_cost=False),
+            [AlgorithmSpec("baseline"), AlgorithmSpec("fixed-cover", cover=("v00",))],
+        ),
+        (gen_benchmark("single-set", n=4), [AlgorithmSpec("baseline"), AlgorithmSpec("leaves-first")]),
+    ],
+    ids=["graph-paired", "hyper-paired", "single-set"],
+)
+def test_member_tests_run_once_per_block(monkeypatch, instance, specs, rows_per_block):
+    """The paired batch makes the member tests once per row block, and
+    every adaptive completion reads them; the feasibility check makes its
+    own, once more per block."""
+    if rows_per_block is not None:
+        for module in (mandatory, harness):
+            monkeypatch.setattr(module, "_kernel_rows", lambda instance: rows_per_block)
+    calls = collections.Counter()
+    tests = mandatory._member_tests
+
+    def counted(instance, weights):
+        calls[len(weights)] += 1
+        return tests(instance, weights)
+
+    monkeypatch.setattr(mandatory, "_member_tests", counted)
+    weights = _sample_weights(instance, 3, 2000)
+    blocks = collections.Counter({700: 2, 600: 1} if rows_per_block else {2000: 1})
+    batch = _PairedBatch(instance, weights, OfflineOracle(instance))
+    policies = [plan(spec, instance, 3) for spec in specs]
+    assert all(policy.adaptive for policy in policies)
+    for policy in policies:
+        _alg_costs(policy, batch)
+    assert calls == blocks
+    batch.check()
+    assert calls == blocks + blocks
 
 
 @pytest.mark.parametrize(

@@ -9,27 +9,43 @@ the kernels must give the scalar answer on every row: for random query
 masks and for the mandatory set itself, on rows with weights on other
 members' interval ends, on hand-built rows with tied minima, and at row
 counts around bytes, words and the kernels' row block.  A non-reduced
-instance is refused.
+instance is refused.  The adaptive query sets, which read the paired
+batch's member tests, equal the completion that made its own from the
+weights.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from orientlab import (
+    AlgorithmSpec,
     InstanceError,
+    OfflineOracle,
     Realization,
+    build_cover_graph,
     estimate_profile,
     estimate_profiles,
+    exact_expected_opt,
     gen_benchmark,
     gen_random,
+    harness,
     is_feasible,
     make_instance,
     mandatory_set,
 )
-from orientlab.harness import BENCHMARKS, _sample_weights
-from orientlab.mandatory import completion_matrix, feasible_matrix, mandatory_matrix
+from orientlab import mandatory as kernels
+from orientlab.algorithms import plan
+from orientlab.harness import (
+    BENCHMARKS,
+    _leaves_first_stage1,
+    _PairedBatch,
+    _query_sets,
+    _sample_weights,
+)
+from orientlab.mandatory import _block_tests, completion_matrix, feasible_matrix, mandatory_matrix
 from test_differential import (
     BOUNDARY_CASES,
     BOUNDARY_IDS,
@@ -173,7 +189,9 @@ def test_kernels_at_bit_boundaries(instance):
 
 
 def test_kernels_refuse_a_non_reduced_instance():
-    """b's interval is a's, so a covers b; the scalar rules still apply."""
+    """b's interval is a's, so a covers b; the scalar rules still apply.
+    The paired batch makes the member tests itself, so it refuses the
+    instance too, and so does the exact optimum built on it."""
     instance = make_instance(
         [uniform_vertex("a", 0, 2), uniform_vertex("b", 0, 2), uniform_vertex("c", 1, 3)],
         [["a", "b", "c"]],
@@ -188,29 +206,41 @@ def test_kernels_refuse_a_non_reduced_instance():
     calls = {
         "mandatory_matrix": lambda: mandatory_matrix(instance, weights),
         "feasible_matrix": lambda: feasible_matrix(instance, weights, queried),
-        "completion_matrix": lambda: completion_matrix(instance, weights, queried, queried),
+        "completion_matrix": lambda: completion_matrix(
+            instance, _block_tests(instance, weights), queried, queried
+        ),
         "estimate_profiles": lambda: estimate_profile(instance, 0.2, 0.2, rng),
+        "_PairedBatch": lambda: _PairedBatch(instance, weights, OfflineOracle(instance)),
     }
     for name, call in calls.items():
         with pytest.raises(InstanceError, match=f"^{name} requires a reduced instance$"):
             call()
     with pytest.raises(InstanceError, match="requires a reduced instance"):
         estimate_profiles(instance, [(0.2, 0.2)], rng)
+    with pytest.raises(InstanceError, match="requires a reduced instance"):
+        exact_expected_opt(instance)
 
 
 def test_kernel_memory_is_linear_in_the_members():
     """One hyperedge of 1,024 members: each kernel holds one test per
     member and row, never a test per pair of members (about 524,800
-    tests, over 1 GiB at 2,000 rows)."""
+    tests, over 1 GiB at 2,000 rows).  The paired batch keeps its tests
+    as sum |e| x N bits, in Python ints of 30-bit digits: fewer bytes
+    than the float64 weights whenever sum |e| <= 64 n."""
     instance = gen_benchmark("staircase", n=1024)
     weights = _sample_weights(instance, 3, 2000)  # 15.6 MiB, made before tracing
     start = np.zeros(weights.shape, dtype=bool)
     stack = np.stack([start, ~start, start])
     mandatory = mandatory_matrix(instance, weights)
+    baseline, oracle = plan(AlgorithmSpec("baseline"), instance, 1), OfflineOracle(instance)
+    batch = _PairedBatch(instance, weights, oracle)  # the oracle's one-off solves
     runs = {
         "mandatory_matrix": lambda: mandatory_matrix(instance, weights),
         "feasible_matrix": lambda: feasible_matrix(instance, weights, stack),
-        "completion_matrix": lambda: completion_matrix(instance, weights, start, mandatory),
+        "completion_matrix": lambda: completion_matrix(
+            instance, _block_tests(instance, weights), start, mandatory
+        ),
+        "batch and baseline": lambda: _query_sets(baseline, _PairedBatch(instance, weights, oracle)),
     }
     for name, run in runs.items():
         tracemalloc.start()
@@ -220,6 +250,85 @@ def test_kernel_memory_is_linear_in_the_members():
         finally:
             tracemalloc.stop()
         # about 4.7 MiB for mandatory_matrix and completion_matrix: the
-        # block's member tests and the output mask (2 MiB each); 8.2 MiB for
-        # feasible_matrix, which packs a vertex-major copy of the stack
+        # block's member tests and the output mask (2 MiB each); 6.2 MiB for
+        # the batch and a baseline completion; 8.2 MiB for feasible_matrix,
+        # which packs a vertex-major copy of the stack
         assert peak < 10 * 2**20, (name, peak)
+    (tests,) = batch.tests
+    assert sum(map(sys.getsizeof, tests)) < 1024 * (4 * 2000 // 30 + 32) < weights.nbytes
+
+
+def _completion_from_weights(instance, weights, queried, mandatory):
+    """The completion as it was when it made its own member tests from the
+    weights, block by block: the reference for the batch's shared tests."""
+    _, edges, _ = kernels._hyperedge_table(instance)
+    out = np.empty(weights.shape, dtype=bool)
+    step = kernels._kernel_rows(instance)
+    for a in range(0, len(weights), step):
+        rows = slice(a, a + step)
+        tests = kernels._member_tests(instance, weights[rows])
+        q = kernels._row_bits(queried[rows].T)
+        width = len(weights[rows])
+        full = (1 << width) - 1
+        for (l, t), *rest in edges:
+            looking = q[l]
+            keep = full & ~(q[l] | tests[t])
+            for x, t in rest:
+                looking, q[x] = looking & q[x], q[x] | looking & tests[t]
+                keep &= q[x]
+            q[l] = full ^ keep
+        np.bitwise_or(kernels._bit_rows(q, width).T, mandatory[rows], out=out[rows])
+    return out
+
+
+def _adaptive_policies(instance):
+    """The baseline, a fixed set that is no cover and, on one hyperedge,
+    leaves-first: every policy whose query sets come from the completion."""
+    specs = [AlgorithmSpec("baseline")]
+    edges = build_cover_graph(instance).edges
+    if edges:
+        a, b = edges[0]
+        specs.append(AlgorithmSpec("fixed-cover", cover=tuple(set(instance.vertex_ids) - {a, b})))
+    if len(instance.hyperedges) == 1:
+        specs.append(AlgorithmSpec("leaves-first"))
+    policies = [plan(spec, instance, 1) for spec in specs]
+    return [policy for policy in policies if policy.adaptive]
+
+
+SHARED_ROWS = [1, 4095, 4096, 4097]
+
+
+@pytest.mark.parametrize("kernel_rows", [1, 7, 512, None])
+def test_query_sets_equal_the_completion_from_weights(monkeypatch, kernel_rows):
+    """On the corpus, the adaptive query sets that read the batch's member
+    tests equal the completion that makes its own from the weights, at
+    row counts around the 4,096-row block and with the kernels' row block
+    (the batch's and the completion's alike) patched to 1, 7 and 512 rows.
+    Blocks of 7 rows run on every 20th instance of the corpus and blocks
+    of one row on every 80th, as a block costs about 80 us."""
+    cases = {1: CORPUS[::80], 7: CORPUS[::20]}.get(kernel_rows, CORPUS)
+    for label, instance in cases:
+        policies = _adaptive_policies(instance)
+        if not policies:
+            continue
+        weights = _sample_weights(instance, 23, max(SHARED_ROWS))
+        mandatory = mandatory_matrix(instance, weights)
+        expect = []
+        for policy in policies:
+            if policy.spec.kind == "leaves-first":
+                start = _leaves_first_stage1(instance, weights)
+            else:
+                start = np.broadcast_to(
+                    [v in policy.stage1 for v in instance.vertex_ids], weights.shape
+                )
+            expect.append(_completion_from_weights(instance, weights, start, mandatory))
+        oracle = OfflineOracle(instance, 70)
+        with monkeypatch.context() as patch:
+            if kernel_rows is not None:
+                for module in (kernels, harness):
+                    patch.setattr(module, "_kernel_rows", lambda instance: kernel_rows)
+            for rows in SHARED_ROWS:
+                batch = _PairedBatch(instance, weights[:rows], oracle)
+                for policy, masks in zip(policies, expect):
+                    sets, index = _query_sets(policy, batch)
+                    assert np.array_equal(sets[index], masks[:rows]), (label, rows, policy.spec)
